@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,14 +30,6 @@ EXIT_NUMERICAL = 3
 
 ALL_METRICS = ("lic", "leakage", "sc", "ba", "dba_g", "dba_o", "ratio", "error")
 PROTOCOL_METRICS = {"lic", "leakage", "sc"}
-
-
-def _cap_threads() -> None:
-    n = os.environ.get("CAPBIAS_THREADS")
-    if not n:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, n)
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -260,7 +251,7 @@ def _load_lexicon(path: Optional[str]) -> Optional[dict[str, frozenset[str]]]:
     if not path:
         return None
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {label: frozenset(forms) | {label} for label, forms in raw.items()}
+    return {label: frozenset(forms) for label, forms in raw.items()}
 
 
 def run_metrics(config: dict, args: argparse.Namespace) -> dict:
@@ -503,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _cap_threads()
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,

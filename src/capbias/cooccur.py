@@ -77,7 +77,9 @@ class JointDistribution:
     """Joint and conditional probabilities over attribute values x task words.
 
     Conditionals may contain NaN where the conditioning marginal is zero;
-    metrics skip those cells and reduce the divisor.
+    metrics skip those cells and reduce the divisor. gate is the DBA sign
+    indicator y_al = 1[p(a,l) > p(a)p(l)], decided by `from_table` on the
+    integer counts so that exact independence ties give y = 0.
     """
 
     values: tuple[str, ...]
@@ -87,6 +89,7 @@ class JointDistribution:
     p_l: np.ndarray            # (|L|,)
     p_a_given_l: np.ndarray    # (|A|, |L|)
     p_l_given_a: np.ndarray    # (|A|, |L|)
+    gate: np.ndarray           # (|A|, |L|), bool
 
     @classmethod
     def from_table(cls, table: CooccurrenceTable) -> "JointDistribution":
@@ -100,6 +103,9 @@ class JointDistribution:
         with np.errstate(divide="ignore", invalid="ignore"):
             p_a_given_l = np.where(p_l > 0, p_al / p_l, np.nan)
             p_l_given_a = np.where(p_a[:, None] > 0, p_al / p_a[:, None], np.nan)
+        # c(a,l) * T > c(a) * c(l) in Python integers: exact, and no overflow
+        exact = table.counts.astype(object)
+        gate = exact * exact.sum() > np.outer(exact.sum(axis=1), exact.sum(axis=0))
         return cls(
             values=table.values,
             words=table.words,
@@ -108,21 +114,8 @@ class JointDistribution:
             p_l=p_l,
             p_a_given_l=p_a_given_l,
             p_l_given_a=p_l_given_a,
+            gate=gate.astype(bool),
         )
-
-
-def _caption_value(record, masker: Masker, mode: CountMode) -> Optional[str]:
-    if mode is CountMode.ATTR_ANNOTATION:
-        if record.attribute is None:
-            raise CorpusError(
-                f"record {record.caption_id!r} lacks an attribute annotation "
-                "(required in annotation counting mode)"
-            )
-        return record.attribute
-    mention = masker.mention(record.tokens)
-    if mention.kind in (MENTION_MIXED, MENTION_NONE):
-        return None
-    return mention.kind
 
 
 def select_task_words(
@@ -184,41 +177,52 @@ def count_cooccurrence(
     nothing. For object-label word sets, presence is read from the image's
     object annotations instead of the caption tokens. A synonyms lexicon
     (label -> surface forms) makes a label count as present when any of its
-    surface forms appears in the caption.
+    surface forms, or the label itself, appears in the caption.
     """
     spec = corpus.attribute_spec
-    masker = Masker(spec)
+    n_words = len(task_words.words)
     value_index = {v: i for i, v in enumerate(spec.values)}
-    word_index = {w: i for i, w in enumerate(task_words.words)}
-    counts = np.zeros((len(spec.values), len(task_words.words)), dtype=np.int64)
+    # surface form -> the columns it marks present; a label is its own form
+    columns: dict[str, list[int]] = {}
+    lexicon = synonyms or {}
+    for j, word in enumerate(task_words.words):
+        for form in lexicon.get(word, frozenset()) | {word}:
+            columns.setdefault(form, []).append(j)
 
     use_objects = task_words.provenance is Provenance.OBJECT_LABELS
     if use_objects and corpus.object_annotations is None:
         raise CorpusError("object-label counting requires object annotations")
+    by_annotation = mode is CountMode.ATTR_ANNOTATION
+    kinds = None if by_annotation else corpus.mention_kinds
 
-    for record in corpus.records:
-        value = _caption_value(record, masker, mode)
-        if value is None:
-            continue
+    cells: list[int] = []  # value row * n_words + column, once per caption
+    for i, record in enumerate(corpus.records):
+        if by_annotation:
+            value = record.attribute
+            if value is None:
+                raise CorpusError(
+                    f"record {record.caption_id!r} lacks an attribute annotation "
+                    "(required in annotation counting mode)"
+                )
+        else:
+            value = kinds[i]
+            if value in (MENTION_MIXED, MENTION_NONE):
+                continue
         if use_objects:
-            labels = corpus.object_annotations.get(record.image_id)
-            if labels is None:
+            seen = corpus.object_annotations.get(record.image_id)
+            if seen is None:
                 raise CorpusError(
                     f"image {record.image_id!r} has no object annotation"
                 )
-            present = labels & word_index.keys()
-        elif synonyms is not None:
-            token_set = set(record.tokens)
-            present = {
-                w for w in word_index
-                if token_set & synonyms.get(w, frozenset((w,)))
-            }
         else:
-            present = set(record.tokens) & word_index.keys()
-        row = value_index[value]
-        for word in present:
-            counts[row, word_index[word]] += 1
+            seen = record.tokens
+        present = {j for form in seen for j in columns.get(form, ())}
+        row = value_index[value] * n_words
+        cells.extend(row + j for j in present)
 
+    counts = np.bincount(
+        np.asarray(cells, dtype=np.intp), minlength=len(spec.values) * n_words
+    ).reshape(len(spec.values), n_words)
     return CooccurrenceTable(values=spec.values, words=task_words.words, counts=counts)
 
 
@@ -281,8 +285,8 @@ def dba(
     """Directional bias amplification with the independence-gated sign.
 
     The gate y_al = 1[p(a,l) > p(a)p(l)] is read from the ground-truth
-    distribution only. Cells whose conditional is undefined on either side
-    are skipped and the divisor reduced accordingly.
+    distribution only (`JointDistribution.gate`). Cells whose conditional is
+    undefined on either side are skipped and the divisor reduced accordingly.
     """
     if gt.p_al.shape != gen.p_al.shape:
         raise CorpusError("distributions have mismatched shapes")
@@ -290,7 +294,7 @@ def dba(
         delta = gen.p_a_given_l - gt.p_a_given_l
     else:
         delta = gen.p_l_given_a - gt.p_l_given_a
-    y = (gt.p_al > np.outer(gt.p_a, gt.p_l)).astype(float)
+    y = gt.gate.astype(float)
     valid = ~np.isnan(delta)
     n_skipped = int((~valid).sum())
     if n_skipped:
@@ -311,12 +315,10 @@ def ratio(corpus: Corpus) -> float:
     if len(listed) != 2:
         raise CorpusError("ratio requires exactly 2 attribute values with word lists")
     first, second = listed
-    masker = Masker(spec)
     tally = {first: 0, second: 0}
-    for record in corpus.records:
-        mention = masker.mention(record.tokens)
-        if mention.kind in tally:
-            tally[mention.kind] += 1
+    for kind in corpus.mention_kinds:
+        if kind in tally:
+            tally[kind] += 1
     if tally[first] == 0:
         raise CorpusError(f"no caption mentions only {first!r}; ratio undefined")
     return tally[second] / tally[first]
@@ -328,22 +330,18 @@ def error_rate(corpus: Corpus, count_mixed_as_error: bool = False) -> float:
     Captions with no mention are always excluded; mixed-mention captions are
     excluded by default, or counted as errors when count_mixed_as_error.
     """
-    masker = Masker(corpus.attribute_spec)
     n_total = 0
     n_wrong = 0
-    for record in corpus.records:
-        if record.attribute is None:
+    for record, kind in zip(corpus.records, corpus.mention_kinds):
+        if record.attribute is None or kind == MENTION_NONE:
             continue
-        mention = masker.mention(record.tokens)
-        if mention.kind == MENTION_NONE:
-            continue
-        if mention.kind == MENTION_MIXED:
+        if kind == MENTION_MIXED:
             if count_mixed_as_error:
                 n_total += 1
                 n_wrong += 1
             continue
         n_total += 1
-        if mention.kind != record.attribute:
+        if kind != record.attribute:
             n_wrong += 1
     if n_total == 0:
         raise CorpusError("no caption mentions an attribute value; error undefined")

@@ -12,6 +12,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -129,6 +130,12 @@ class Corpus:
         return out
 
     def content_hash(self) -> str:
+        return self._content_digest
+
+    # Records are immutable, so both of these are computed at most once per
+    # corpus and kept on the instance, which drops them with the corpus.
+    @cached_property
+    def _content_digest(self) -> str:
         import hashlib
 
         digest = hashlib.sha256()
@@ -141,6 +148,15 @@ class Corpus:
                 ).encode("utf-8")
             )
         return digest.hexdigest()
+
+    @cached_property
+    def mention_kinds(self) -> tuple[str, ...]:
+        """Each record's explicit attribute mention, as `Mention.kind`: the
+        one value it names, `MENTION_MIXED`, or `MENTION_NONE`."""
+        from capbias.masking import Masker  # masking imports this module
+
+        masker = Masker(self.attribute_spec)
+        return tuple(masker.mention(record.tokens).kind for record in self.records)
 
     def filter_images(self, image_ids: Iterable[str]) -> "Corpus":
         keep = set(image_ids)

@@ -153,6 +153,7 @@ def test_criterion_05_dba_identity_and_sign(capsys):
             values=("f", "m"), words=("l1", "l2"),
             p_al=p_al, p_a=p_al.sum(axis=1), p_l=p_al.sum(axis=0),
             p_a_given_l=shifted, p_l_given_a=shifted,
+            gate=p_al > 0.25,
         )
 
     base = dist()

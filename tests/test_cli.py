@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import capbias
 from capbias.classifier import ClassifierConfig, init_classifier, save_checkpoint
 from capbias.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from capbias.vocab import build_vocab
@@ -216,3 +221,24 @@ class TestReport:
                    "--learning-rate", "1e200"],
         )
         assert main(args) == EXIT_NUMERICAL
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists() or (os.cpu_count() or 1) < 2,
+    reason="needs /proc and at least two CPUs to tell one BLAS thread apart",
+)
+def test_capbias_threads_caps_blas_threads():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["CAPBIAS_THREADS"] = "1"
+    env["PYTHONPATH"] = str(Path(capbias.__file__).parents[1])
+    script = (
+        "import capbias.cli, re\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(re.search(r'^Threads:\\s*(\\d+)', status, re.M).group(1))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "1"

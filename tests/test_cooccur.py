@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capbias.cooccur import (
     CooccurrenceTable,
@@ -17,7 +21,7 @@ from capbias.cooccur import (
     ratio,
     select_task_words,
 )
-from capbias.corpus import CorpusError
+from capbias.corpus import AttributeSpec, CorpusError
 from conftest import make_corpus
 
 
@@ -234,6 +238,7 @@ def _diag_dist(shift=0.0):
         values=("f", "m"), words=("l1", "l2"),
         p_al=p_al, p_a=p_a, p_l=p_l,
         p_a_given_l=cond_shifted, p_l_given_a=cond_shifted,
+        gate=p_al > np.outer(p_a, p_l),
     )
 
 
@@ -257,6 +262,7 @@ class TestDba:
         gen = JointDistribution(
             values=gen.values, words=gen.words, p_al=gen.p_al,
             p_a=gen.p_a, p_l=gen.p_l, p_a_given_l=cond, p_l_given_a=gen.p_l_given_a,
+            gate=gen.gate,
         )
         out = dba(gt, gen, DbaDirection.GENDER_GIVEN_OBJECT)
         assert out == pytest.approx(-0.1 / 4, abs=1e-12)
@@ -273,6 +279,33 @@ class TestDba:
         gt = JointDistribution.from_table(counts)
         gen = JointDistribution.from_table(counts)
         assert dba(gt, gen, DbaDirection.GENDER_GIVEN_OBJECT) == 0.0
+
+    def test_gate_is_exact_at_independence_ties(self):
+        # rank one: every cell has c(a,l) * T == c(a) * c(l), so no gate opens
+        t = table(("f", "m"), ("l1", "l2"), [[2, 3], [6, 9]])
+        d = JointDistribution.from_table(t)
+        # in float64, 0.45 > 0.75 * 0.6 opens cell (m, l2) by rounding alone
+        assert (d.p_al > np.outer(d.p_a, d.p_l)).tolist() == [
+            [False, False], [False, True]
+        ]
+        assert not d.gate.any()
+        gen = JointDistribution.from_table(
+            table(("f", "m"), ("l1", "l2"), [[3, 3], [6, 8]])
+        )
+        delta = gen.p_l_given_a - d.p_l_given_a
+        assert dba(d, gen, DbaDirection.OBJECT_GIVEN_GENDER) == pytest.approx(
+            -delta.mean(), abs=1e-15
+        )
+
+    @given(
+        u=st.lists(st.integers(1, 10**6), min_size=1, max_size=6),
+        v=st.lists(st.integers(1, 10**6), min_size=1, max_size=6),
+    )
+    def test_gate_of_independent_counts_is_closed(self, u, v):
+        counts = np.outer(np.array(u, dtype=np.int64), np.array(v, dtype=np.int64))
+        t = table([f"a{i}" for i in range(len(u))],
+                  [f"l{j}" for j in range(len(v))], counts)
+        assert not JointDistribution.from_table(t).gate.any()
 
     def test_from_table_consistency(self):
         t = table(("f", "m"), ("l1", "l2"), [[3, 1], [2, 4]])
@@ -323,3 +356,205 @@ class TestRatioError:
         assert error_rate(
             make_corpus(plain_spec, captions), count_mixed_as_error=True
         ) == 0.5
+
+
+# ---------------------------------------------------------------- oracles
+#
+# Plain-Python recounts that know nothing of the package's counting code:
+# every (caption, value, word) event is enumerated directly.
+
+# The plain_spec fixture as a constant: hypothesis tests take no
+# function-scoped fixtures.
+SPEC = AttributeSpec(
+    name="gender", values=("female", "male"), mask_token="<gender>",
+    word_lists={"female": ("woman",), "male": ("man",)},
+    plural_overrides={"woman": "women", "man": "men"},
+)
+GENDERED = {"female": {"woman", "women"}, "male": {"man", "men"}}
+CONTENT = ("a", "b", "c", "d", "e")
+
+tokens_st = st.lists(
+    st.sampled_from(CONTENT + ("woman", "women", "man", "men")),
+    min_size=1, max_size=6,
+)
+records_st = st.lists(
+    st.tuples(
+        tokens_st,
+        st.sampled_from(("female", "male")),
+        st.frozensets(st.sampled_from(CONTENT), max_size=3),
+    ),
+    max_size=12,
+)
+words_st = st.lists(st.sampled_from(CONTENT), min_size=1, max_size=4, unique=True)
+
+
+def _corpus_with_objects(spec, rows, attributes=True):
+    """rows: (tokens, attribute, object labels), one image per caption."""
+    corpus = make_corpus(spec, [
+        (f"c{i}", f"i{i}", tokens, attr if attributes else None)
+        for i, (tokens, attr, _) in enumerate(rows)
+    ])
+    objects = {f"i{i}": labels for i, (_, _, labels) in enumerate(rows)}
+    return replace(corpus, object_annotations=objects)
+
+
+def _only_value(tokens):
+    hits = [v for v, ws in GENDERED.items() if set(tokens) & ws]
+    return hits[0] if len(hits) == 1 else None
+
+
+def _brute_counts(corpus, words, mode, forms=None, objects=False):
+    counts = [[0] * len(words) for _ in corpus.attribute_spec.values]
+    for record in corpus.records:
+        if mode is CountMode.ATTR_ANNOTATION:
+            value = record.attribute
+        else:
+            value = _only_value(record.tokens)
+        if value is None:
+            continue
+        seen = (
+            corpus.object_annotations[record.image_id] if objects
+            else set(record.tokens)
+        )
+        row = counts[corpus.attribute_spec.values.index(value)]
+        for j, word in enumerate(words):
+            surface = forms[word] if forms is not None else {word}
+            if surface & seen:
+                row[j] += 1
+    return counts
+
+
+class TestCountOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=records_st, words=words_st,
+           mode=st.sampled_from(list(CountMode)))
+    def test_token_words(self, rows, words, mode):
+        corpus = _corpus_with_objects(SPEC, rows)
+        out = count_cooccurrence(
+            corpus, TaskWordSet(tuple(words), Provenance.USER_SUPPLIED), mode
+        )
+        assert out.counts.tolist() == _brute_counts(corpus, words, mode)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=records_st, words=words_st,
+           mode=st.sampled_from(list(CountMode)))
+    def test_object_labels(self, rows, words, mode):
+        corpus = _corpus_with_objects(SPEC, rows)
+        out = count_cooccurrence(
+            corpus, TaskWordSet(tuple(words), Provenance.OBJECT_LABELS), mode
+        )
+        assert out.counts.tolist() == _brute_counts(
+            corpus, words, mode, objects=True
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=records_st, words=words_st, mode=st.sampled_from(list(CountMode)),
+        extra=st.lists(st.frozensets(st.sampled_from(CONTENT), max_size=3),
+                       min_size=4, max_size=4),
+    )
+    def test_lexicon(self, rows, words, mode, extra):
+        # each label's forms include the label, as the CLI loads a lexicon
+        lexicon = {w: forms | {w} for w, forms in zip(words, extra)}
+        corpus = _corpus_with_objects(SPEC, rows)
+        out = count_cooccurrence(
+            corpus, TaskWordSet(tuple(words), Provenance.USER_SUPPLIED), mode,
+            synonyms=lexicon,
+        )
+        assert out.counts.tolist() == _brute_counts(
+            corpus, words, mode, forms=lexicon
+        )
+
+    def test_lexicon_by_hand(self):
+        lexicon = {
+            "dog": frozenset({"dog", "puppy", "pet"}),
+            "cat": frozenset({"cat", "kitten", "pet"}),
+        }
+        corpus = make_corpus(SPEC, [
+            ("c1", "i1", ["woman", "pet"], "female"),             # shared form
+            ("c2", "i2", ["man", "dog"], "male"),                 # own name
+            ("c3", "i3", ["man", "puppy", "dog", "puppy"], "male"),  # once
+            ("c4", "i4", ["woman", "kitten"], "male"),
+        ])
+        words = TaskWordSet(("dog", "cat"), Provenance.USER_SUPPLIED)
+        by_words = count_cooccurrence(
+            corpus, words, CountMode.ATTR_WORDS_IN_CAPTION, synonyms=lexicon
+        )
+        assert by_words.counts.tolist() == [[1, 2], [2, 0]]
+        by_annotation = count_cooccurrence(
+            corpus, words, CountMode.ATTR_ANNOTATION, synonyms=lexicon
+        )
+        assert by_annotation.counts.tolist() == [[1, 1], [2, 1]]
+
+    def test_label_is_its_own_form(self):
+        corpus = make_corpus(SPEC, [
+            ("c1", "i1", ["woman", "dog"], "female"),
+            ("c2", "i2", ["man", "puppy"], "male"),
+        ])
+        out = count_cooccurrence(
+            corpus, TaskWordSet(("dog",), Provenance.USER_SUPPLIED),
+            CountMode.ATTR_ANNOTATION, synonyms={"dog": frozenset({"puppy"})},
+        )
+        assert out.counts.tolist() == [[1], [1]]
+
+    def test_missing_object_annotations(self):
+        corpus = make_corpus(SPEC, [("c1", "i1", ["woman", "a"], "female")])
+        labels = TaskWordSet(("a",), Provenance.OBJECT_LABELS)
+        with pytest.raises(CorpusError, match="requires object annotations"):
+            count_cooccurrence(corpus, labels, CountMode.ATTR_ANNOTATION)
+        partial = replace(corpus, object_annotations={"other": frozenset({"a"})})
+        with pytest.raises(CorpusError, match="has no object annotation"):
+            count_cooccurrence(partial, labels, CountMode.ATTR_ANNOTATION)
+
+    def test_missing_annotation_in_lexicon_mode(self):
+        corpus = make_corpus(SPEC, [
+            ("c1", "i1", ["woman", "a"], "female"),
+            ("c2", "i2", ["man", "a"], None),
+        ])
+        words = TaskWordSet(("a",), Provenance.USER_SUPPLIED)
+        with pytest.raises(CorpusError, match="annotation"):
+            count_cooccurrence(
+                corpus, words, CountMode.ATTR_ANNOTATION,
+                synonyms={"a": frozenset({"a"})},
+            )
+
+
+class TestRatioErrorOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=records_st)
+    def test_ratio(self, rows):
+        corpus = _corpus_with_objects(SPEC, rows)
+        named = [_only_value(tokens) for tokens, _, _ in rows]
+        if named.count("female") == 0:
+            with pytest.raises(CorpusError, match="ratio undefined"):
+                ratio(corpus)
+        else:
+            assert ratio(corpus) == named.count("male") / named.count("female")
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=records_st, annotated=st.lists(st.booleans(), min_size=12,
+                                               max_size=12),
+           mixed_as_error=st.booleans())
+    def test_error_rate(self, rows, annotated, mixed_as_error):
+        corpus = make_corpus(SPEC, [
+            (f"c{i}", f"i{i}", tokens, attr if keep else None)
+            for i, ((tokens, attr, _), keep) in enumerate(zip(rows, annotated))
+        ])
+        total = wrong = 0
+        for record in corpus.records:
+            hits = [v for v, ws in GENDERED.items() if set(record.tokens) & ws]
+            if record.attribute is None or not hits:
+                continue
+            if len(hits) > 1:
+                total += mixed_as_error
+                wrong += mixed_as_error
+                continue
+            total += 1
+            wrong += hits[0] != record.attribute
+        if total == 0:
+            with pytest.raises(CorpusError, match="error undefined"):
+                error_rate(corpus, count_mixed_as_error=mixed_as_error)
+        else:
+            assert error_rate(
+                corpus, count_mixed_as_error=mixed_as_error
+            ) == wrong / total
