@@ -26,6 +26,9 @@ LEAKY_SLOPE = 0.01
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per pass of the Adam update: the chunks of its six arrays fit in
+# a core's L2 cache.
+ADAM_CHUNK = 8192
 
 BAG_MEAN = "bag_mean"
 BIRECURRENT = "birecurrent"
@@ -238,35 +241,31 @@ def _loss_and_grads(
     idx: np.ndarray,
     mask: np.ndarray,
     labels: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
+    grads: dict[str, np.ndarray],
+) -> float:
+    """Mean cross-entropy of a batch; its gradients are written into `grads`.
+
+    The head's gradients overwrite their arrays. The embedding and recurrent
+    gradients are added in, so those arrays must hold zeros on entry.
+    """
     params, config = classifier.params, classifier.config
     logits, caches = _forward_batch(classifier, idx, mask)
     probs = _softmax(logits)
     batch = idx.shape[0]
     loss = float(-np.log(probs[np.arange(batch), labels] + 1e-300).mean())
 
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
     d_logits = probs.copy()
     d_logits[np.arange(batch), labels] -= 1.0
     d_logits /= batch
     h_act = _leaky(caches["h_pre"])
-    grads["W2"] = h_act.T @ d_logits
-    grads["b2"] = d_logits.sum(axis=0)
+    np.matmul(h_act.T, d_logits, out=grads["W2"])
+    d_logits.sum(axis=0, out=grads["b2"])
     d_h = (d_logits @ params["W2"].T) * _leaky_grad(caches["h_pre"])
-    grads["W1"] = caches["enc"].T @ d_h
-    grads["b1"] = d_h.sum(axis=0)
+    np.matmul(caches["enc"].T, d_h, out=grads["W1"])
+    d_h.sum(axis=0, out=grads["b1"])
     d_enc = d_h @ params["W1"].T
     _encoder_backward(params, config, idx, mask, caches, d_enc, grads)
-    return loss, grads
-
-
-def forward(classifier: AttributeClassifier, token_indices: Sequence[int]) -> np.ndarray:
-    """Per-class confidence vector (softmax over logits) for one caption."""
-    if len(token_indices) == 0:
-        raise ClassifierError("empty token sequence")
-    idx, mask = _pad_batch([list(token_indices)])
-    logits, _ = _forward_batch(classifier, idx, mask)
-    return _softmax(logits)[0]
+    return loss
 
 
 def predict_proba(
@@ -291,6 +290,39 @@ def predict(
     return predict_proba(classifier, sequences).argmax(axis=1)
 
 
+def _adam_step(param, grad, moment1, moment2, scratch1, scratch2, lr, step):
+    """One Adam update (Kingma & Ba 2015) of `param`, in place.
+
+    The operations and their order are those of
+        m = b1*m + (1-b1)*g
+        v = b2*v + ((1-b2)*g)*g
+        p -= (lr*(m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps)
+    so the result is bit-identical to evaluating that formula with fresh
+    arrays. The buffers are updated a chunk of `scratch1.size` elements at a
+    time, so the chunks of all six arrays stay in cache; `scratch1` and
+    `scratch2` hold the intermediates.
+    """
+    chunk = scratch1.size
+    for start in range(0, param.size, chunk):
+        part = slice(start, start + chunk)
+        p, g, m, v = param[part], grad[part], moment1[part], moment2[part]
+        s1, s2 = scratch1[:p.size], scratch2[:p.size]
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1 - ADAM_BETA1, out=s1)
+        np.add(m, s1, out=m)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, 1 - ADAM_BETA2, out=s1)
+        np.multiply(s1, g, out=s1)
+        np.add(v, s1, out=v)
+        np.divide(m, 1 - ADAM_BETA1 ** step, out=s1)
+        np.multiply(s1, lr, out=s1)
+        np.divide(v, 1 - ADAM_BETA2 ** step, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, ADAM_EPS, out=s2)
+        np.divide(s1, s2, out=s1)
+        np.subtract(p, s1, out=p)
+
+
 def train(
     classifier: AttributeClassifier,
     sequences: Sequence[Sequence[int]],
@@ -312,9 +344,22 @@ def train(
     if labels_arr.min() < 0 or labels_arr.max() >= classifier.n_classes:
         raise ClassifierError("label outside [0, n_classes)")
 
-    params = classifier.params
-    moment1 = {k: np.zeros_like(v) for k, v in params.items()}
-    moment2 = {k: np.zeros_like(v) for k, v in params.items()}
+    # One float64 buffer holds every parameter; classifier.params become
+    # views into it, and the Adam moments and the gradient share its layout,
+    # so the optimizer is one code path over one buffer.
+    flat = np.concatenate([v.ravel() for v in classifier.params.values()])
+    moment1, moment2, grad = (np.zeros_like(flat) for _ in range(3))
+    scratch1, scratch2 = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
+    params: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray] = {}
+    offset = 0
+    for key, value in classifier.params.items():
+        params[key] = flat[offset:offset + value.size].reshape(value.shape)
+        grads[key] = grad[offset:offset + value.size].reshape(value.shape)
+        offset += value.size
+    classifier.params = params
+    accumulated = [grads[key] for key in grads if key.startswith(("Wx_", "Wh_", "bh_"))]
+
     rng = np.random.default_rng([config.seed, 1])  # shuffle stream, distinct from init
     step = 0
     for epoch in range(config.epochs):
@@ -324,23 +369,24 @@ def train(
         for start in range(0, len(order), config.batch_size):
             batch_ids = order[start:start + config.batch_size]
             idx, mask = _pad_batch([sequences[i] for i in batch_ids])
-            loss, grads = _loss_and_grads(classifier, idx, mask, labels_arr[batch_ids])
+            loss = _loss_and_grads(classifier, idx, mask, labels_arr[batch_ids], grads)
             if not np.isfinite(loss):
                 raise ClassifierError(
                     f"non-finite loss at epoch {epoch}, step {step}: {loss}"
                 )
             step += 1
-            for key in params:
-                g = grads[key]
-                moment1[key] = ADAM_BETA1 * moment1[key] + (1 - ADAM_BETA1) * g
-                moment2[key] = ADAM_BETA2 * moment2[key] + (1 - ADAM_BETA2) * g * g
-                m_hat = moment1[key] / (1 - ADAM_BETA1 ** step)
-                v_hat = moment2[key] / (1 - ADAM_BETA2 ** step)
-                params[key] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                if not np.isfinite(params[key]).all():
-                    raise ClassifierError(
-                        f"non-finite parameter {key!r} at epoch {epoch}, step {step}"
-                    )
+            _adam_step(flat, grad, moment1, moment2, scratch1, scratch2,
+                       config.learning_rate, step)
+            if not np.isfinite(flat).all():
+                key = next(k for k, v in params.items() if not np.isfinite(v).all())
+                raise ClassifierError(
+                    f"non-finite parameter {key!r} at epoch {epoch}, step {step}"
+                )
+            # Clear what _loss_and_grads added into: the embedding rows this
+            # batch read, and the recurrent gradients.
+            grads["embed"][idx] = 0.0
+            for array in accumulated:
+                array.fill(0.0)
             epoch_loss += loss
             n_batches += 1
         classifier.training_log.append(epoch_loss / n_batches)
@@ -367,11 +413,12 @@ def gradient_check(
     """
     idx, mask = _pad_batch([list(token_indices)])
     labels = np.array([label])
-    _, grads = _loss_and_grads(classifier, idx, mask, labels)
+    grads = {k: np.zeros_like(v) for k, v in classifier.params.items()}
+    _loss_and_grads(classifier, idx, mask, labels, grads)
 
     def loss_at() -> float:
-        loss, _ = _loss_and_grads(classifier, idx, mask, labels)
-        return loss
+        zeros = {k: np.zeros_like(v) for k, v in classifier.params.items()}
+        return _loss_and_grads(classifier, idx, mask, labels, zeros)
 
     rng = np.random.default_rng(rng_seed)
     keys = sorted(classifier.params)

@@ -19,7 +19,14 @@ from typing import Optional
 from capbias import classifier as clf
 from capbias import cooccur, lic as lic_mod, masking, synth, vocab as vocab_mod
 from capbias.classifier import ClassifierConfig, ClassifierError
-from capbias.corpus import AttributeSpec, Corpus, CorpusError, load_corpus, tokenize
+from capbias.corpus import (
+    AttributeSpec,
+    CorpusError,
+    load_annotations,
+    load_corpus,
+    load_object_annotations,
+    tokenize,
+)
 from capbias.lic import ProtocolConfig, run_protocol
 
 logger = logging.getLogger("capbias")
@@ -183,7 +190,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     if _resolve(config, args, "wordlist"):
         masker = masking.Masker(_build_spec(config, args))
 
-    rows = []
+    names = model.class_names or tuple(f"class{i}" for i in range(model.n_classes))
+    caption_ids, sequences = [], []
     with open(args.input, encoding="utf-8") as src:
         for line in src:
             line = line.strip()
@@ -197,16 +205,17 @@ def cmd_score(args: argparse.Namespace) -> int:
             )
             if masker is not None:
                 tokens = list(masker.mask(tokens).tokens)
-            probs = clf.forward(model, vocabulary.encode(tokens))
-            names = model.class_names or tuple(
-                f"class{i}" for i in range(model.n_classes)
-            )
-            rows.append({
-                "caption_id": str(obj.get("caption_id", "")),
-                "predicted": names[int(probs.argmax())],
-                "scores": {n: float(p) for n, p in zip(names, probs)},
-                "max_score": float(probs.max()),
-            })
+            caption_ids.append(str(obj.get("caption_id", "")))
+            sequences.append(vocabulary.encode(tokens))
+    rows = [
+        {
+            "caption_id": caption_id,
+            "predicted": names[int(probs.argmax())],
+            "scores": {n: float(p) for n, p in zip(names, probs)},
+            "max_score": float(probs.max()),
+        }
+        for caption_id, probs in zip(caption_ids, clf.predict_proba(model, sequences))
+    ]
     rows.sort(key=lambda r: (-r["max_score"], r["caption_id"]))
     with open(args.out, "w", encoding="utf-8") as dst:
         for row in rows:
@@ -270,16 +279,24 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
     if "dba_g" in metrics and objects_path is None:
         raise CorpusError("metric 'dba_g' requires the 'objects' input file")
 
+    # Both sides share the annotation and object files: read each once.
+    annotations = objects = None
+    if annotations_path is not None:
+        annotations = load_annotations(annotations_path, spec)
+    if objects_path is not None:
+        objects = load_object_annotations(objects_path)
     human = generated = None
     if {"lic", "leakage", "sc", "ba", "dba_g", "dba_o"} & set(metrics):
         human = load_corpus(
             _require(config, args, "human_captions", "ba/lic"),
             annotations_path, spec, objects_path,
+            annotations=annotations, objects=objects,
         )
     if metrics:
         generated = load_corpus(
             _require(config, args, "generated_captions", metrics[0]),
             annotations_path, spec, objects_path,
+            annotations=annotations, objects=objects,
         )
 
     results: dict[str, dict] = {}

@@ -231,20 +231,30 @@ def load_corpus(
     annotations_path: Optional[Path | str],
     attribute_spec: AttributeSpec,
     objects_path: Optional[Path | str] = None,
+    *,
+    annotations: Optional[Mapping[str, str]] = None,
+    objects: Optional[Mapping[str, frozenset[str]]] = None,
 ) -> Corpus:
     """Load a caption corpus from JSON Lines files.
+
+    `annotations` and `objects`, when given, are the contents of the files
+    at `annotations_path` and `objects_path` as already read by
+    `load_annotations` and `load_object_annotations`, so corpora that share
+    those files read them once; the paths still name them in errors.
 
     Captions whose text is empty after tokenization are rejected with a
     logged diagnostic. Contract violations (duplicate caption ids, unknown
     attribute values, annotations for unreferenced images) raise CorpusError.
     """
     captions_path = Path(captions_path)
-    annotations = (
-        load_annotations(annotations_path, attribute_spec)
-        if annotations_path is not None
-        else {}
-    )
-    objects = load_object_annotations(objects_path) if objects_path is not None else None
+    if annotations is None:
+        annotations = (
+            load_annotations(annotations_path, attribute_spec)
+            if annotations_path is not None
+            else {}
+        )
+    if objects is None and objects_path is not None:
+        objects = load_object_annotations(objects_path)
 
     records: list[CaptionRecord] = []
     seen_ids: set[str] = set()

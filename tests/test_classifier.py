@@ -1,11 +1,17 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from capbias.classifier import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ClassifierConfig,
     ClassifierError,
+    _loss_and_grads,
+    _pad_batch,
     _softmax,
-    forward,
     gradient_check,
     init_classifier,
     load_checkpoint,
@@ -59,7 +65,7 @@ class TestInit:
 
     def test_fresh_model_near_uniform(self, vocabulary):
         model = init_classifier(small_config(), vocabulary, 4)
-        probs = forward(model, [3, 4, 5])
+        probs = predict_proba(model, [[3, 4, 5]])[0]
         assert probs.shape == (4,)
         assert np.all(np.abs(probs - 0.25) < 0.2)
 
@@ -86,8 +92,8 @@ class TestForward:
 
     def test_bag_mean_duplication_invariant(self, vocabulary):
         model = init_classifier(small_config(), vocabulary, 2)
-        once = forward(model, [5])
-        twice = forward(model, [5, 5])
+        once = predict_proba(model, [[5]])[0]
+        twice = predict_proba(model, [[5, 5]])[0]
         assert np.allclose(once, twice, atol=1e-12)
 
     def test_batched_matches_single(self, vocabulary):
@@ -95,12 +101,12 @@ class TestForward:
         sequences = [[3, 4], [5, 6, 7, 8], [9]]
         batched = predict_proba(model, sequences)
         for i, seq in enumerate(sequences):
-            assert np.allclose(batched[i], forward(model, seq), atol=1e-12)
+            assert np.allclose(batched[i], predict_proba(model, [seq])[0], atol=1e-12)
 
     def test_empty_sequence_rejected(self, vocabulary):
         model = init_classifier(small_config(), vocabulary, 2)
         with pytest.raises(ClassifierError):
-            forward(model, [])
+            predict_proba(model, [[]])
 
 
 class TestTrain:
@@ -156,6 +162,85 @@ class TestTrain:
         sequences, labels = synthetic_data(vocabulary)
         with pytest.raises(ClassifierError, match="epoch"):
             train(model, sequences, labels)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_parameter_error_names_key(self, vocabulary):
+        model = init_classifier(small_config(), vocabulary, 2)
+        # The mask token's row is read by no sequence, so the loss stays
+        # finite and only the parameter check can see it.
+        model.params["embed"][vocabulary.index_of("<gender>")] = np.inf
+        sequences, labels = synthetic_data(vocabulary)
+        with pytest.raises(
+            ClassifierError, match=r"non-finite parameter 'embed' at epoch 0, step 1"
+        ):
+            train(model, sequences, labels)
+
+
+def _batch_grads(model, idx, mask, labels):
+    """One batch's loss and gradients, written into fresh zeros.
+
+    Runs against either form of `_loss_and_grads`: one that fills the
+    gradient arrays it is given, or one that allocates its own.
+    """
+    if "grads" in inspect.signature(_loss_and_grads).parameters:
+        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+        return _loss_and_grads(model, idx, mask, labels, grads), grads
+    return _loss_and_grads(model, idx, mask, labels)
+
+
+def reference_train(model, sequences, labels):
+    """Adam written per parameter array, with a fresh array for every
+    intermediate: the formula `train` must reproduce bit for bit."""
+    config, params = model.config, model.params
+    labels_arr = np.asarray(labels, dtype=np.int64)
+    moment1 = {k: np.zeros_like(v) for k, v in params.items()}
+    moment2 = {k: np.zeros_like(v) for k, v in params.items()}
+    rng = np.random.default_rng([config.seed, 1])
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(len(sequences))
+        epoch_loss, n_batches = 0.0, 0
+        for start in range(0, len(order), config.batch_size):
+            batch_ids = order[start:start + config.batch_size]
+            idx, mask = _pad_batch([sequences[i] for i in batch_ids])
+            loss, grads = _batch_grads(model, idx, mask, labels_arr[batch_ids])
+            step += 1
+            for key in params:
+                g = grads[key]
+                moment1[key] = ADAM_BETA1 * moment1[key] + (1 - ADAM_BETA1) * g
+                moment2[key] = ADAM_BETA2 * moment2[key] + (1 - ADAM_BETA2) * g * g
+                m_hat = moment1[key] / (1 - ADAM_BETA1 ** step)
+                v_hat = moment2[key] / (1 - ADAM_BETA2 ** step)
+                params[key] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            epoch_loss += loss
+            n_batches += 1
+        model.training_log.append(epoch_loss / n_batches)
+    return model
+
+
+class TestAdamReference:
+    @pytest.mark.parametrize("encoder", ["bag_mean", "birecurrent"])
+    def test_train_matches_per_key_adam(self, encoder):
+        words = [f"v{i}" for i in range(300)]
+        vocabulary = build_vocab([words], mask_token="<gender>")
+        rng = np.random.default_rng(11)
+        # 3 classes; 45 sequences in batches of 8 leave a last batch of 5;
+        # embed_dim 32 gives about 10,000 parameters, more than one chunk of
+        # the Adam update.
+        sequences = [
+            rng.integers(3, len(vocabulary), size=int(rng.integers(1, 9))).tolist()
+            for _ in range(45)
+        ]
+        labels = [int(seq[0]) % 3 for seq in sequences]
+        config = small_config(encoder_kind=encoder, embed_dim=32, epochs=3,
+                              batch_size=8, seed=4)
+        fast = train(init_classifier(config, vocabulary, 3), sequences, labels)
+        slow = reference_train(init_classifier(config, vocabulary, 3), sequences, labels)
+        assert list(fast.params) == list(slow.params)
+        for key in slow.params:
+            assert np.array_equal(fast.params[key], slow.params[key]), key
+        assert fast.training_log == slow.training_log
+        assert len(fast.training_log) == 3
 
 
 class TestGradients:

@@ -8,7 +8,15 @@ import pytest
 
 import capbias
 from capbias.classifier import ClassifierConfig, init_classifier, save_checkpoint
-from capbias.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from capbias.cli import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    build_parser,
+    main,
+    run_metrics,
+)
+from capbias.corpus import CorpusError
 from capbias.vocab import build_vocab
 from conftest import write_jsonl
 
@@ -174,6 +182,45 @@ class TestReport:
             "task_words": ["umbrella", "skateboard"],
         }))
         return config
+
+    def test_shared_inputs_read_once_per_report(self, synth_dir, tmp_path, monkeypatch):
+        import capbias.cli
+        import capbias.corpus
+
+        image_ids = [row["image_id"] for row in read_jsonl(synth_dir / "annotations.jsonl")]
+        objects = write_jsonl(tmp_path / "objects.jsonl", [
+            {"image_id": image_id, "objects": ["umbrella"]} for image_id in image_ids
+        ])
+        calls = {"load_annotations": 0, "load_object_annotations": 0}
+        for name in calls:
+            original = getattr(capbias.corpus, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(capbias.corpus, name, counted)
+            monkeypatch.setattr(capbias.cli, name, counted)
+        args = self._report_args(
+            synth_dir, tmp_path / "r.json", "ba",
+            extra=["--config", str(self._task_word_config(tmp_path)),
+                   "--objects", str(objects)],
+        )
+        assert main(args) == EXIT_OK
+        assert calls == {"load_annotations": 1, "load_object_annotations": 1}
+
+    def test_annotation_error_names_file_and_line(self, synth_dir, tmp_path):
+        bad = tmp_path / "annotations.jsonl"
+        bad.write_text(
+            (synth_dir / "annotations.jsonl").read_text()
+            + '{"image_id": "extra", "attribute": "neither"}\n'
+        )
+        n_lines = len(bad.read_text().splitlines())
+        args = self._report_args(synth_dir, tmp_path / "r.json", "ba")
+        args[args.index("--annotations") + 1] = str(bad)
+        with pytest.raises(CorpusError, match=rf"{bad}:{n_lines}: attribute value"):
+            run_metrics({}, build_parser().parse_args(args))
+        assert main(args) == EXIT_VALIDATION
 
     def test_dba_g_without_objects_fails(self, synth_dir, tmp_path):
         args = self._report_args(synth_dir, tmp_path / "r.json", "dba_g")
