@@ -10,6 +10,7 @@ trainer can be validated against central finite differences.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 from dataclasses import asdict, dataclass, field
@@ -120,106 +121,187 @@ def _leaky_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, 1.0, LEAKY_SLOPE)
 
 
-def _pad_batch(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    if any(len(s) == 0 for s in sequences):
+def _pack(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All token ids in one int32 array, with each sequence's offset and length."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    if (lengths == 0).any():
         raise ClassifierError("cannot encode an empty token sequence")
-    max_len = max(len(s) for s in sequences)
-    idx = np.full((len(sequences), max_len), PAD_INDEX, dtype=np.int64)
-    mask = np.zeros((len(sequences), max_len))
-    for i, seq in enumerate(sequences):
-        idx[i, : len(seq)] = seq
-        mask[i, : len(seq)] = 1.0
-    return idx, mask
+    tokens = np.fromiter(
+        itertools.chain.from_iterable(sequences), dtype=np.int32, count=int(lengths.sum())
+    )
+    return tokens, np.cumsum(lengths) - lengths, lengths
 
 
-def _scan(x, mask, Wx, Wh, bh, reverse):
-    """One directional tanh recurrence with carry over padded positions.
+def _gather_batch(packed, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded token ids (B, L) and a 0/1 float mask for the packed sequences `rows`."""
+    tokens, offsets, lengths = packed
+    batch_lengths = lengths[rows]
+    positions = np.arange(batch_lengths.max())
+    present = positions < batch_lengths[:, None]
+    idx = np.full(present.shape, PAD_INDEX, dtype=np.int64)
+    idx[present] = tokens[(offsets[rows][:, None] + positions)[present]]
+    return idx, present.astype(np.float64)
 
-    Returns per-step outputs (B, L, H), the final state (B, H), and the
-    caches (h_prev, h_new per step, in scan order) needed for backprop.
+
+# The birecurrent encoder steps both directions of a layer together: the state
+# is (2, B, H), and scan step s reads position s forward and L-1-s backward.
+# Arrays indexed by scan step have shape (L, 2, B, ...). Only the products that
+# need the previous step run inside the step loops; the others run before or
+# after them as stacked matmuls whose items have the shapes of the per-step
+# products, and sums over steps add in the order the steps' gradients arrive,
+# so the numbers are those of one (B, D) @ (D, H) product per step.
+
+
+def _scan_views(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (B, L, D) array as two (L, B, D) views, by forward and by backward
+    scan step."""
+    return seq.transpose(1, 0, 2), seq[:, ::-1].transpose(1, 0, 2)
+
+
+def _to_scan_order(seq: np.ndarray) -> np.ndarray:
+    """(B, L, 2H) forward and backward halves -> (L, 2, B, H) by scan step."""
+    batch, length, width = seq.shape
+    hidden = width // 2
+    out = np.empty((length, 2, batch, hidden))
+    fwd, bwd = _scan_views(seq)
+    out[:, 0] = fwd[..., :hidden]
+    out[:, 1] = bwd[..., hidden:]
+    return out
+
+
+def _to_positions(steps: np.ndarray) -> np.ndarray:
+    """(L, 2, B, H) by scan step -> (B, L, 2H), the inverse of `_to_scan_order`."""
+    length, _, batch, hidden = steps.shape
+    out = np.empty((batch, length, 2 * hidden))
+    fwd, bwd = _scan_views(out)
+    fwd[..., :hidden] = steps[:, 0]
+    bwd[..., hidden:] = steps[:, 1]
+    return out
+
+
+def _step_masks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask (B, L) by scan step, (L, 2, B, 1), and one minus it."""
+    steps = np.empty((mask.shape[1], 2, mask.shape[0], 1))
+    steps[:, 0, :, 0] = mask.T
+    steps[:, 1, :, 0] = mask.T[::-1]
+    return steps, 1.0 - steps
+
+
+def _layer_params(params, layer):
+    """A layer's (Wx_fwd, Wx_bwd), Wh stacked (2, H, H) and bh stacked (2, 1, H)."""
+    keys = (f"{layer}_fwd", f"{layer}_bwd")
+    Wx = tuple(params[f"Wx_{k}"] for k in keys)
+    Wh = np.stack([params[f"Wh_{k}"] for k in keys])
+    bh = np.stack([params[f"bh_{k}"] for k in keys])[:, None, :]
+    return Wx, Wh, bh
+
+
+def _birecurrent_layer(x, step_masks, Wx, Wh, bh):
+    """Both tanh recurrences of one layer over x (B, L, D), with carry over
+    padded positions.
+
+    Returns the states (L + 1, 2, B, H), zero before the first step, and the
+    tanh outputs (L, 2, B, H), both by scan step.
     """
     batch, length, _ = x.shape
-    h = np.zeros((batch, Wh.shape[0]))
-    order = range(length - 1, -1, -1) if reverse else range(length)
-    outputs = np.zeros((batch, length, Wh.shape[0]))
-    caches = []
-    for t in order:
-        h_prev = h
-        h_new = np.tanh(x[:, t] @ Wx + h_prev @ Wh + bh)
-        m = mask[:, t][:, None]
-        h = m * h_new + (1.0 - m) * h_prev
-        outputs[:, t] = h
-        caches.append((t, h_prev, h_new))
-    return outputs, h, caches
+    m, keep = step_masks
+    new = np.empty((length, 2, batch, Wh.shape[-1]))
+    for d, view in enumerate(_scan_views(x)):
+        np.matmul(view, Wx[d], out=new[:, d])
+    states = np.zeros((length + 1,) + new.shape[1:])
+    recur, carry = np.empty(new.shape[1:]), np.empty(new.shape[1:])
+    bias = np.broadcast_to(bh, recur.shape).copy()  # a plain add is faster per step
+    for h_prev, h, a, m_s, keep_s in zip(states[:-1], states[1:], new, m, keep):
+        np.matmul(h_prev, Wh, out=recur)
+        a += recur
+        a += bias
+        np.tanh(a, out=a)
+        np.multiply(m_s, a, out=h)
+        np.multiply(keep_s, h_prev, out=carry)
+        h += carry
+    return states, new
 
 
-def _scan_backward(x, mask, Wx, Wh, caches, d_out, d_final, grads, key):
-    """Backprop through one directional scan; returns gradient w.r.t. x."""
-    dx = np.zeros_like(x)
-    dh = d_final.copy()
-    for t, h_prev, h_new in reversed(caches):
-        dh = dh + d_out[:, t]
-        m = mask[:, t][:, None]
-        da = (m * dh) * (1.0 - h_new ** 2)
-        grads[f"Wx_{key}"] += x[:, t].T @ da
-        grads[f"Wh_{key}"] += h_prev.T @ da
-        grads[f"bh_{key}"] += da.sum(axis=0)
-        dx[:, t] += da @ Wx.T
-        dh = (1.0 - m) * dh + da @ Wh.T
+def _birecurrent_layer_backward(cache, step_masks, d_steps, d_final, grads, layer):
+    """Backprop through one layer; writes its Wx/Wh/bh gradients and returns
+    the gradient w.r.t. its input.
+
+    `cache` is (x, Wx, Wh, states, new) from the forward pass, `d_steps`
+    (L, 2, B, H) the gradient w.r.t. the layer's outputs by scan step, or None
+    where it is zero, and `d_final` (2, B, H) the gradient w.r.t. the last
+    states.
+    """
+    x, Wx, Wh, states, new = cache
+    length = x.shape[1]
+    m, keep = step_masks
+    # The mask is 0 or 1, so dh * (m * tanh') has the bits of (m * dh) * tanh'.
+    gate = m * (1.0 - new ** 2)
+    Wh_T = Wh.transpose(0, 2, 1)
+    da = np.empty_like(new)
+    dh, recur = d_final.copy(), np.empty_like(d_final)
+    d_out = itertools.repeat(None) if d_steps is None else d_steps[::-1]
+    for da_s, gate_s, keep_s, d_s in zip(da[::-1], gate[::-1], keep[::-1], d_out):
+        if d_s is not None:
+            dh += d_s
+        np.multiply(dh, gate_s, out=da_s)
+        dh *= keep_s
+        np.matmul(da_s, Wh_T, out=recur)
+        dh += recur
+    # Sum each product over steps from the last scan step to the first, the
+    # order in which the loop above produced them.
+    d_Wx = np.empty((length, 2) + Wx[0].shape)
+    for d, view in enumerate(_scan_views(x)):
+        np.matmul(view.transpose(0, 2, 1), da[:, d], out=d_Wx[:, d])
+    d_Wx = d_Wx[::-1].sum(axis=0)
+    d_Wh = np.matmul(states[:-1].transpose(0, 1, 3, 2), da)[::-1].sum(axis=0)
+    d_bh = da.sum(axis=2)[::-1].sum(axis=0)
+    for d, direction in enumerate(("fwd", "bwd")):
+        key = f"{layer}_{direction}"
+        grads[f"Wx_{key}"][...] = d_Wx[d]
+        grads[f"Wh_{key}"][...] = d_Wh[d]
+        grads[f"bh_{key}"][...] = d_bh[d]
+    # Each direction's products are written by position into an array of
+    # x's layout, so the two add over contiguous memory.
+    dx, dx_bwd = np.empty_like(x), np.empty_like(x)
+    np.matmul(da[:, 0], Wx[0].T, out=_scan_views(dx)[0])
+    np.matmul(da[:, 1], Wx[1].T, out=_scan_views(dx_bwd)[1])
+    dx += dx_bwd
     return dx
 
 
 def _encode_batch(params, config, idx, mask, caches):
     """Run the encoder; fills caches with intermediates for backprop."""
     emb = params["embed"][idx] * mask[..., None]
-    caches["emb"] = emb
     if config.encoder_kind == BAG_MEAN:
         lengths = mask.sum(axis=1)[:, None]
         caches["lengths"] = lengths
         return emb.sum(axis=1) / lengths
+    step_masks = caches["step_masks"] = _step_masks(mask)
     layer_in = emb
-    finals = {}
     for layer in (1, 2):
-        outs = {}
-        for direction, reverse in (("fwd", False), ("bwd", True)):
-            key = f"{layer}_{direction}"
-            out, final, scan_cache = _scan(
-                layer_in, mask,
-                params[f"Wx_{key}"], params[f"Wh_{key}"], params[f"bh_{key}"],
-                reverse,
-            )
-            outs[direction] = out
-            finals[key] = final
-            caches[f"scan_{key}"] = scan_cache
-            caches[f"in_{layer}"] = layer_in
-        layer_in = np.concatenate([outs["fwd"], outs["bwd"]], axis=2)
-        caches[f"out_{layer}"] = layer_in
-    return np.concatenate([finals["2_fwd"], finals["2_bwd"]], axis=1)
+        Wx, Wh, bh = _layer_params(params, layer)
+        states, new = _birecurrent_layer(layer_in, step_masks, Wx, Wh, bh)
+        caches[f"layer_{layer}"] = (layer_in, Wx, Wh, states, new)
+        layer_in = _to_positions(states[1:])
+    return np.concatenate([states[-1, 0], states[-1, 1]], axis=1)
 
 
 def _encoder_backward(params, config, idx, mask, caches, d_enc, grads):
-    h = config.hidden_dim
+    """Write the encoder's gradients: the recurrent ones overwrite their
+    arrays, the embedding's are added into `grads["embed"]`."""
     if config.encoder_kind == BAG_MEAN:
         d_emb = (d_enc / caches["lengths"])[:, None, :] * mask[..., None]
     else:
-        zero = np.zeros((idx.shape[0], idx.shape[1], h))
-        d_final = {"2_fwd": d_enc[:, :h], "2_bwd": d_enc[:, h:]}
-        d_in2 = np.zeros_like(caches["in_2"])
-        for direction in ("fwd", "bwd"):
-            key = f"2_{direction}"
-            d_in2 += _scan_backward(
-                caches["in_2"], mask, params[f"Wx_{key}"], params[f"Wh_{key}"],
-                caches[f"scan_{key}"], zero, d_final[key], grads, key,
-            )
-        d_emb = np.zeros_like(caches["emb"])
-        d_out1 = {"fwd": d_in2[:, :, :h], "bwd": d_in2[:, :, h:]}
-        zero_final = np.zeros((idx.shape[0], h))
-        for direction in ("fwd", "bwd"):
-            key = f"1_{direction}"
-            d_emb += _scan_backward(
-                caches["in_1"], mask, params[f"Wx_{key}"], params[f"Wh_{key}"],
-                caches[f"scan_{key}"], d_out1[direction], zero_final, grads, key,
-            )
+        step_masks = caches["step_masks"]
+        batch, hidden = idx.shape[0], config.hidden_dim
+        d_final = d_enc.reshape(batch, 2, hidden).transpose(1, 0, 2)
+        d_in2 = _birecurrent_layer_backward(
+            caches["layer_2"], step_masks, None, d_final, grads, 2
+        )
+        d_emb = _birecurrent_layer_backward(
+            caches["layer_1"], step_masks, _to_scan_order(d_in2),
+            np.zeros_like(d_final), grads, 1,
+        )
         d_emb *= mask[..., None]
     np.add.at(grads["embed"], idx, d_emb)
 
@@ -245,8 +327,8 @@ def _loss_and_grads(
 ) -> float:
     """Mean cross-entropy of a batch; its gradients are written into `grads`.
 
-    The head's gradients overwrite their arrays. The embedding and recurrent
-    gradients are added in, so those arrays must hold zeros on entry.
+    The embedding's gradient is added in, so its array must hold zeros on
+    entry; every other gradient overwrites its array.
     """
     params, config = classifier.params, classifier.config
     logits, caches = _forward_batch(classifier, idx, mask)
@@ -274,12 +356,12 @@ def predict_proba(
     chunk_size: int = 256,
 ) -> np.ndarray:
     """Batched confidences, shape (n_sequences, n_classes)."""
+    packed = _pack(sequences)
     out = np.zeros((len(sequences), classifier.n_classes))
     for start in range(0, len(sequences), chunk_size):
-        chunk = sequences[start:start + chunk_size]
-        idx, mask = _pad_batch(chunk)
-        logits, _ = _forward_batch(classifier, idx, mask)
-        out[start:start + len(chunk)] = _softmax(logits)
+        rows = np.arange(start, min(start + chunk_size, len(sequences)))
+        logits, _ = _forward_batch(classifier, *_gather_batch(packed, rows))
+        out[rows] = _softmax(logits)
     return out
 
 
@@ -343,6 +425,7 @@ def train(
     labels_arr = np.asarray(labels, dtype=np.int64)
     if labels_arr.min() < 0 or labels_arr.max() >= classifier.n_classes:
         raise ClassifierError("label outside [0, n_classes)")
+    packed = _pack(sequences)
 
     # One float64 buffer holds every parameter; classifier.params become
     # views into it, and the Adam moments and the gradient share its layout,
@@ -358,7 +441,6 @@ def train(
         grads[key] = grad[offset:offset + value.size].reshape(value.shape)
         offset += value.size
     classifier.params = params
-    accumulated = [grads[key] for key in grads if key.startswith(("Wx_", "Wh_", "bh_"))]
 
     rng = np.random.default_rng([config.seed, 1])  # shuffle stream, distinct from init
     step = 0
@@ -368,7 +450,7 @@ def train(
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch_ids = order[start:start + config.batch_size]
-            idx, mask = _pad_batch([sequences[i] for i in batch_ids])
+            idx, mask = _gather_batch(packed, batch_ids)
             loss = _loss_and_grads(classifier, idx, mask, labels_arr[batch_ids], grads)
             if not np.isfinite(loss):
                 raise ClassifierError(
@@ -377,16 +459,16 @@ def train(
             step += 1
             _adam_step(flat, grad, moment1, moment2, scratch1, scratch2,
                        config.learning_rate, step)
-            if not np.isfinite(flat).all():
+            # min and max propagate NaN and reach any infinity, and unlike
+            # isfinite(flat) they allocate no temporary as large as the buffer.
+            if not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
                 key = next(k for k, v in params.items() if not np.isfinite(v).all())
                 raise ClassifierError(
                     f"non-finite parameter {key!r} at epoch {epoch}, step {step}"
                 )
             # Clear what _loss_and_grads added into: the embedding rows this
-            # batch read, and the recurrent gradients.
+            # batch read.
             grads["embed"][idx] = 0.0
-            for array in accumulated:
-                array.fill(0.0)
             epoch_loss += loss
             n_batches += 1
         classifier.training_log.append(epoch_loss / n_batches)
@@ -411,7 +493,7 @@ def gradient_check(
     Samples coordinates across all parameter arrays; coordinates where both
     gradients are below a 1e-10 magnitude floor are skipped.
     """
-    idx, mask = _pad_batch([list(token_indices)])
+    idx, mask = _gather_batch(_pack([token_indices]), np.array([0]))
     labels = np.array([label])
     grads = {k: np.zeros_like(v) for k, v in classifier.params.items()}
     _loss_and_grads(classifier, idx, mask, labels, grads)

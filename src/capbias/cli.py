@@ -90,7 +90,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
                 tokens = tokenize(str(obj["caption"]))
             except (json.JSONDecodeError, KeyError, CorpusError) as exc:
                 raise CorpusError(f"{args.input}:{lineno}: {exc}") from exc
-            masked = masker.mask(tokens, origin=str(obj.get("caption_id", lineno)))
+            masked = masker.mask(tokens)
             obj["tokens"] = list(masked.tokens)
             obj["caption"] = " ".join(masked.tokens)
             obj["n_masked"] = masked.n_masked

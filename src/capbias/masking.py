@@ -25,7 +25,6 @@ MENTION_NONE = "none"
 class MaskedCaption:
     tokens: tuple[str, ...]
     n_masked: int
-    origin: str
 
 
 @dataclass(frozen=True)
@@ -37,10 +36,6 @@ class Mention:
     """
 
     kind: str
-
-    @property
-    def is_single(self) -> bool:
-        return self.kind not in (MENTION_MIXED, MENTION_NONE)
 
 
 def pluralize(word: str, overrides: Mapping[str, str] | None = None) -> str:
@@ -98,7 +93,7 @@ class Masker:
                 f"mask token {spec.mask_token!r} collides with an attribute word"
             )
 
-    def mask(self, tokens: Sequence[str], origin: str = "") -> MaskedCaption:
+    def mask(self, tokens: Sequence[str]) -> MaskedCaption:
         masked = []
         n_masked = 0
         for token in tokens:
@@ -107,7 +102,7 @@ class Masker:
                 n_masked += 1
             else:
                 masked.append(token)
-        return MaskedCaption(tokens=tuple(masked), n_masked=n_masked, origin=origin)
+        return MaskedCaption(tokens=tuple(masked), n_masked=n_masked)
 
     def mention(self, tokens: Sequence[str]) -> Mention:
         present = [v for v, words in self.by_value.items() if words & set(tokens)]
@@ -118,14 +113,12 @@ class Masker:
         return Mention(present[0])
 
 
-def mask_caption(
-    tokens: Sequence[str], spec: AttributeSpec, origin: str = ""
-) -> MaskedCaption:
+def mask_caption(tokens: Sequence[str], spec: AttributeSpec) -> MaskedCaption:
     """Replace every attribute word (or plural) with the mask token.
 
     Identity when the spec carries no word lists (e.g. race).
     """
-    return Masker(spec).mask(tokens, origin)
+    return Masker(spec).mask(tokens)
 
 
 def mention_label(tokens: Sequence[str], spec: AttributeSpec) -> Mention:

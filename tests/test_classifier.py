@@ -2,15 +2,19 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from capbias.classifier import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    LEAKY_SLOPE,
     ClassifierConfig,
     ClassifierError,
+    _gather_batch,
     _loss_and_grads,
-    _pad_batch,
+    _pack,
     _softmax,
     gradient_check,
     init_classifier,
@@ -20,7 +24,7 @@ from capbias.classifier import (
     save_checkpoint,
     train,
 )
-from capbias.vocab import build_vocab
+from capbias.vocab import PAD_INDEX, build_vocab
 
 
 @pytest.fixture(scope="module")
@@ -188,9 +192,25 @@ def _batch_grads(model, idx, mask, labels):
     return _loss_and_grads(model, idx, mask, labels)
 
 
-def reference_train(model, sequences, labels):
+def _pad_batch(sequences):
+    """Padding written as a per-caption loop: the reference for the batches
+    `train` and `predict_proba` gather."""
+    if any(len(s) == 0 for s in sequences):
+        raise ClassifierError("cannot encode an empty token sequence")
+    max_len = max(len(s) for s in sequences)
+    idx = np.full((len(sequences), max_len), PAD_INDEX, dtype=np.int64)
+    mask = np.zeros((len(sequences), max_len))
+    for i, seq in enumerate(sequences):
+        idx[i, : len(seq)] = seq
+        mask[i, : len(seq)] = 1.0
+    return idx, mask
+
+
+def reference_train(model, sequences, labels, batch_grads=_batch_grads):
     """Adam written per parameter array, with a fresh array for every
-    intermediate: the formula `train` must reproduce bit for bit."""
+    intermediate: the formula `train` must reproduce bit for bit.
+    `batch_grads(model, idx, mask, labels)` gives each batch's loss and
+    gradients."""
     config, params = model.config, model.params
     labels_arr = np.asarray(labels, dtype=np.int64)
     moment1 = {k: np.zeros_like(v) for k, v in params.items()}
@@ -203,7 +223,7 @@ def reference_train(model, sequences, labels):
         for start in range(0, len(order), config.batch_size):
             batch_ids = order[start:start + config.batch_size]
             idx, mask = _pad_batch([sequences[i] for i in batch_ids])
-            loss, grads = _batch_grads(model, idx, mask, labels_arr[batch_ids])
+            loss, grads = batch_grads(model, idx, mask, labels_arr[batch_ids])
             step += 1
             for key in params:
                 g = grads[key]
@@ -241,6 +261,204 @@ class TestAdamReference:
             assert np.array_equal(fast.params[key], slow.params[key]), key
         assert fast.training_log == slow.training_log
         assert len(fast.training_log) == 3
+
+
+# A reference for the birecurrent encoder: one directional scan per layer and
+# direction, with every product taken inside the time loop.
+
+
+def _ref_scan(x, mask, Wx, Wh, bh, reverse):
+    batch, length, _ = x.shape
+    h = np.zeros((batch, Wh.shape[0]))
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    outputs = np.zeros((batch, length, Wh.shape[0]))
+    caches = []
+    for t in order:
+        h_prev = h
+        h_new = np.tanh(x[:, t] @ Wx + h_prev @ Wh + bh)
+        m = mask[:, t][:, None]
+        h = m * h_new + (1.0 - m) * h_prev
+        outputs[:, t] = h
+        caches.append((t, h_prev, h_new))
+    return outputs, h, caches
+
+
+def _ref_scan_backward(x, mask, Wx, Wh, caches, d_out, d_final, grads, key):
+    dx = np.zeros_like(x)
+    dh = d_final.copy()
+    for t, h_prev, h_new in reversed(caches):
+        dh = dh + d_out[:, t]
+        m = mask[:, t][:, None]
+        da = (m * dh) * (1.0 - h_new ** 2)
+        grads[f"Wx_{key}"] += x[:, t].T @ da
+        grads[f"Wh_{key}"] += h_prev.T @ da
+        grads[f"bh_{key}"] += da.sum(axis=0)
+        dx[:, t] += da @ Wx.T
+        dh = (1.0 - m) * dh + da @ Wh.T
+    return dx
+
+
+def _ref_forward(params, idx, mask):
+    """Logits and the caches of a batch."""
+    emb = params["embed"][idx] * mask[..., None]
+    caches = {"emb": emb}
+    layer_in = emb
+    finals = {}
+    for layer in (1, 2):
+        outs = {}
+        for direction, reverse in (("fwd", False), ("bwd", True)):
+            key = f"{layer}_{direction}"
+            out, finals[key], caches[f"scan_{key}"] = _ref_scan(
+                layer_in, mask,
+                params[f"Wx_{key}"], params[f"Wh_{key}"], params[f"bh_{key}"],
+                reverse,
+            )
+            outs[direction] = out
+        caches[f"in_{layer}"] = layer_in
+        layer_in = np.concatenate([outs["fwd"], outs["bwd"]], axis=2)
+    enc = np.concatenate([finals["2_fwd"], finals["2_bwd"]], axis=1)
+    h_pre = enc @ params["W1"] + params["b1"]
+    h_act = np.where(h_pre > 0, h_pre, LEAKY_SLOPE * h_pre)
+    caches.update(enc=enc, h_pre=h_pre, h_act=h_act)
+    return h_act @ params["W2"] + params["b2"], caches
+
+
+def reference_grads(model, idx, mask, labels):
+    """A batch's mean cross-entropy and its gradients, in fresh arrays."""
+    params, h = model.params, model.config.hidden_dim
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    logits, caches = _ref_forward(params, idx, mask)
+    probs = _softmax(logits)
+    batch = idx.shape[0]
+    loss = float(-np.log(probs[np.arange(batch), labels] + 1e-300).mean())
+    d_logits = probs.copy()
+    d_logits[np.arange(batch), labels] -= 1.0
+    d_logits /= batch
+    grads["W2"] = caches["h_act"].T @ d_logits
+    grads["b2"] = d_logits.sum(axis=0)
+    d_h = (d_logits @ params["W2"].T) * np.where(caches["h_pre"] > 0, 1.0, LEAKY_SLOPE)
+    grads["W1"] = caches["enc"].T @ d_h
+    grads["b1"] = d_h.sum(axis=0)
+    d_enc = d_h @ params["W1"].T
+
+    zero = np.zeros((batch, idx.shape[1], h))
+    d_final = {"2_fwd": d_enc[:, :h], "2_bwd": d_enc[:, h:]}
+    d_in2 = np.zeros_like(caches["in_2"])
+    for direction in ("fwd", "bwd"):
+        key = f"2_{direction}"
+        d_in2 += _ref_scan_backward(
+            caches["in_2"], mask, params[f"Wx_{key}"], params[f"Wh_{key}"],
+            caches[f"scan_{key}"], zero, d_final[key], grads, key,
+        )
+    d_emb = np.zeros_like(caches["emb"])
+    d_out1 = {"fwd": d_in2[:, :, :h], "bwd": d_in2[:, :, h:]}
+    zero_final = np.zeros((batch, h))
+    for direction in ("fwd", "bwd"):
+        key = f"1_{direction}"
+        d_emb += _ref_scan_backward(
+            caches["in_1"], mask, params[f"Wx_{key}"], params[f"Wh_{key}"],
+            caches[f"scan_{key}"], d_out1[direction], zero_final, grads, key,
+        )
+    d_emb *= mask[..., None]
+    np.add.at(grads["embed"], idx, d_emb)
+    return loss, grads
+
+
+def reference_proba(model, sequences, chunk_size=256):
+    out = np.zeros((len(sequences), model.n_classes))
+    for start in range(0, len(sequences), chunk_size):
+        chunk = sequences[start:start + chunk_size]
+        logits, _ = _ref_forward(model.params, *_pad_batch(chunk))
+        out[start:start + len(chunk)] = _softmax(logits)
+    return out
+
+
+class TestPadding:
+    @given(
+        sequences=st.lists(
+            st.lists(st.integers(0, 50), min_size=1, max_size=12),
+            min_size=1, max_size=20,
+        ),
+        data=st.data(),
+    )
+    def test_gather_matches_per_caption_padding(self, sequences, data):
+        rows = data.draw(st.lists(
+            st.integers(0, len(sequences) - 1), min_size=1, max_size=len(sequences)
+        ))
+        idx, mask = _gather_batch(_pack(sequences), np.asarray(rows))
+        ref_idx, ref_mask = _pad_batch([sequences[r] for r in rows])
+        assert idx.dtype == ref_idx.dtype and mask.dtype == ref_mask.dtype
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(mask, ref_mask)
+
+    def test_empty_sequence_rejected_before_any_step(self, vocabulary):
+        model = init_classifier(small_config(), vocabulary, 2)
+        before = {k: v.copy() for k, v in model.params.items()}
+        sequences, labels = synthetic_data(vocabulary)
+        sequences[-1] = []
+        with pytest.raises(ClassifierError, match="^cannot encode an empty token sequence$"):
+            train(model, sequences, labels)
+        assert model.training_log == []
+        for key, value in before.items():
+            assert np.array_equal(model.params[key], value), key
+
+
+class TestBirecurrentReference:
+    """The birecurrent trainer reproduces the per-direction, per-step
+    reference bit for bit. embed_dim differs from hidden_dim so that a
+    transposed operand cannot pass."""
+
+    @staticmethod
+    def _setup(seed, n_captions, lengths, n_classes=3, **overrides):
+        words = [f"v{i}" for i in range(40)]
+        vocabulary = build_vocab([words], mask_token="<gender>")
+        rng = np.random.default_rng(seed)
+        sequences = [
+            rng.integers(0, len(vocabulary), size=int(rng.integers(*lengths))).tolist()
+            for _ in range(n_captions)
+        ]
+        labels = rng.integers(0, n_classes, size=n_captions)
+        config = small_config(encoder_kind="birecurrent", embed_dim=24,
+                              hidden_dim=16, seed=seed, **overrides)
+        model = init_classifier(config, vocabulary, n_classes)
+        # Biases start at zero; nonzero ones let a slip in adding them show.
+        for key, value in model.params.items():
+            if key.startswith("b"):
+                value[...] = rng.normal(scale=0.1, size=value.shape)
+        return model, sequences, labels
+
+    @pytest.mark.parametrize("n_captions,lengths", [
+        (1, (1, 2)),      # one caption of one token
+        (1, (9, 10)),     # one caption of nine tokens
+        (16, (1, 10)),    # ragged lengths 1-9
+        (16, (6, 7)),     # equal lengths
+        (256, (1, 10)),   # one predict_proba chunk, ragged
+    ])
+    def test_loss_grads_and_proba_match(self, n_captions, lengths):
+        model, sequences, labels = self._setup(n_captions, n_captions, lengths)
+        idx, mask = _pad_batch(sequences)
+        loss, grads = _batch_grads(model, idx, mask, labels)
+        ref_loss, ref_grads = reference_grads(model, idx, mask, labels)
+        assert loss == ref_loss
+        assert list(grads) == list(ref_grads)
+        for key in ref_grads:
+            assert np.array_equal(grads[key], ref_grads[key]), key
+        assert np.array_equal(predict_proba(model, sequences),
+                              reference_proba(model, sequences))
+
+    def test_train_matches_reference_loop(self):
+        model, sequences, labels = self._setup(
+            21, 45, (1, 10), epochs=2, batch_size=8, learning_rate=0.01
+        )
+        fast = train(model, sequences, labels)
+        slow_model, _, _ = self._setup(21, 45, (1, 10), epochs=2, batch_size=8,
+                                       learning_rate=0.01)
+        slow = reference_train(slow_model, sequences, labels,
+                               batch_grads=reference_grads)
+        for key in slow.params:
+            assert np.array_equal(fast.params[key], slow.params[key]), key
+        assert fast.training_log == slow.training_log
+        assert len(fast.training_log) == 2
 
 
 class TestGradients:
