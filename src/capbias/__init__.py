@@ -24,8 +24,6 @@ from capbias.corpus import (  # noqa: E402 (after _cap_threads)
     CaptionRecord,
     Corpus,
     CorpusError,
-    SplitPair,
-    balanced_split,
     load_corpus,
     tokenize,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "CaptionRecord",
     "Corpus",
     "CorpusError",
-    "SplitPair",
-    "balanced_split",
     "load_corpus",
     "tokenize",
 ]

@@ -14,7 +14,6 @@ import itertools
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +29,8 @@ ADAM_EPS = 1e-8
 # Elements per pass of the Adam update: the chunks of its six arrays fit in
 # a core's L2 cache.
 ADAM_CHUNK = 8192
+# Captions per forward pass of `predict_proba`.
+PREDICT_CHUNK = 256
 
 BAG_MEAN = "bag_mean"
 BIRECURRENT = "birecurrent"
@@ -71,7 +72,6 @@ class AttributeClassifier:
     n_classes: int
     params: dict[str, np.ndarray]
     training_log: list[float] = field(default_factory=list)
-    class_names: Optional[tuple[str, ...]] = None
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -351,25 +351,16 @@ def _loss_and_grads(
 
 
 def predict_proba(
-    classifier: AttributeClassifier,
-    sequences: Sequence[Sequence[int]],
-    chunk_size: int = 256,
+    classifier: AttributeClassifier, sequences: Sequence[Sequence[int]]
 ) -> np.ndarray:
     """Batched confidences, shape (n_sequences, n_classes)."""
     packed = _pack(sequences)
     out = np.zeros((len(sequences), classifier.n_classes))
-    for start in range(0, len(sequences), chunk_size):
-        rows = np.arange(start, min(start + chunk_size, len(sequences)))
+    for start in range(0, len(sequences), PREDICT_CHUNK):
+        rows = np.arange(start, min(start + PREDICT_CHUNK, len(sequences)))
         logits, _ = _forward_batch(classifier, *_gather_batch(packed, rows))
         out[rows] = _softmax(logits)
     return out
-
-
-def predict(
-    classifier: AttributeClassifier, sequences: Sequence[Sequence[int]]
-) -> np.ndarray:
-    """Argmax class per sequence; ties break toward the lower class index."""
-    return predict_proba(classifier, sequences).argmax(axis=1)
 
 
 def _adam_step(param, grad, moment1, moment2, scratch1, scratch2, lr, step):
@@ -523,52 +514,3 @@ def gradient_check(
             continue
         max_err = max(max_err, abs(analytic - numeric) / scale)
     return max_err
-
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(
-    classifier: AttributeClassifier,
-    path: Path | str,
-    class_names: Optional[Sequence[str]] = None,
-) -> None:
-    """JSON checkpoint with config, vocabulary hash, and flat parameters."""
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "config": asdict(classifier.config),
-        "vocab_hash": classifier.vocabulary.content_hash(),
-        "n_classes": classifier.n_classes,
-        "class_names": list(class_names or classifier.class_names or []) or None,
-        "params": {
-            k: {"shape": list(v.shape), "data": v.ravel().tolist()}
-            for k, v in classifier.params.items()
-        },
-        "training_log": classifier.training_log,
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_checkpoint(path: Path | str, vocabulary: Vocabulary) -> AttributeClassifier:
-    """Load a checkpoint; the vocabulary hash must match the one trained with."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ClassifierError(
-            f"unsupported checkpoint version {payload.get('format_version')}"
-        )
-    if payload["vocab_hash"] != vocabulary.content_hash():
-        raise ClassifierError("checkpoint vocabulary hash does not match")
-    config = ClassifierConfig(**payload["config"])
-    params = {
-        k: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-        for k, spec in payload["params"].items()
-    }
-    names = payload.get("class_names")
-    return AttributeClassifier(
-        config=config,
-        vocabulary=vocabulary,
-        n_classes=payload["n_classes"],
-        params=params,
-        training_log=list(payload["training_log"]),
-        class_names=tuple(names) if names else None,
-    )

@@ -1,7 +1,8 @@
 """Command-line entry point: masking, vocabulary export, synthetic corpora,
-per-caption bias scores, and the metric report pipeline.
+and the metric report pipeline.
 
-Exit codes: 0 success, 2 validation/input failure, 3 numerical failure.
+Exit codes: 0 success, 2 validation/input failure, 3 numerical failure; any
+other exception is a program error and propagates with its traceback.
 Every command is deterministic given its inputs and the master seed; the
 report timestamp is the only field allowed to differ between reruns.
 """
@@ -16,12 +17,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from capbias import classifier as clf
 from capbias import cooccur, lic as lic_mod, masking, synth, vocab as vocab_mod
 from capbias.classifier import ClassifierConfig, ClassifierError
 from capbias.corpus import (
     AttributeSpec,
     CorpusError,
+    _read_jsonl,
     load_annotations,
     load_corpus,
     load_object_annotations,
@@ -79,17 +80,15 @@ def cmd_mask(args: argparse.Namespace) -> int:
     masker = masking.Masker(spec)
     total_masked = 0
     out_path = Path(args.out)
-    with open(args.input, encoding="utf-8") as src, \
-            open(out_path, "w", encoding="utf-8") as dst:
-        for lineno, line in enumerate(src, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                tokens = tokenize(str(obj["caption"]))
-            except (json.JSONDecodeError, KeyError, CorpusError) as exc:
-                raise CorpusError(f"{args.input}:{lineno}: {exc}") from exc
+    # read and tokenize the whole input first, so invalid input writes nothing
+    rows = []
+    for lineno, obj in _read_jsonl(args.input, ("caption",)):
+        try:
+            rows.append((obj, tokenize(str(obj["caption"]))))
+        except CorpusError as exc:
+            raise CorpusError(f"{args.input}:{lineno}: {exc}") from exc
+    with open(out_path, "w", encoding="utf-8") as dst:
+        for obj, tokens in rows:
             masked = masker.mask(tokens)
             obj["tokens"] = list(masked.tokens)
             obj["caption"] = " ".join(masked.tokens)
@@ -108,16 +107,16 @@ def cmd_vocab(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
     spec = _build_spec(config, args)
     token_lists = []
-    with open(args.input, encoding="utf-8") as src:
-        for line in src:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
+    for lineno, obj in _read_jsonl(args.input):
+        try:
             if "tokens" in obj:
                 token_lists.append([str(t) for t in obj["tokens"]])
-            else:
+            elif "caption" in obj:
                 token_lists.append(tokenize(str(obj["caption"])))
+            else:
+                raise CorpusError("missing field 'caption'")
+        except CorpusError as exc:
+            raise CorpusError(f"{args.input}:{lineno}: {exc}") from exc
     vocabulary = vocab_mod.build_vocab(
         token_lists, min_count=args.min_count, mask_token=spec.mask_token
     )
@@ -131,7 +130,15 @@ def cmd_vocab(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec_obj = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    text = Path(args.spec).read_text(encoding="utf-8")
+    spec_obj = json.loads(text)
+    # the spec is one JSON object; errors name the line it starts on
+    lineno = text[:len(text) - len(text.lstrip())].count("\n") + 1
+    if not isinstance(spec_obj, dict):
+        raise CorpusError(f"{args.spec}:{lineno}: expected a JSON object")
+    for name in ("n_images", "theta_human", "theta_generated"):
+        if name not in spec_obj:
+            raise CorpusError(f"{args.spec}:{lineno}: missing field {name!r}")
     common = {
         "n_images": int(spec_obj["n_images"]),
         "values": tuple(spec_obj.get("values", ("female", "male"))),
@@ -174,55 +181,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     (out_dir / "oracle.json").write_text(json.dumps(oracle, indent=2), encoding="utf-8")
     if not args.quiet:
         print(f"wrote corpus pair and oracle to {out_dir}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------- score
-
-
-def cmd_score(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    vocabulary = vocab_mod.Vocabulary.from_dict(
-        json.loads(Path(args.vocab).read_text(encoding="utf-8"))
-    )
-    model = clf.load_checkpoint(args.checkpoint, vocabulary)
-    masker = None
-    if _resolve(config, args, "wordlist"):
-        masker = masking.Masker(_build_spec(config, args))
-
-    names = model.class_names or tuple(f"class{i}" for i in range(model.n_classes))
-    caption_ids, sequences = [], []
-    with open(args.input, encoding="utf-8") as src:
-        for line in src:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            tokens = (
-                [str(t) for t in obj["tokens"]]
-                if "tokens" in obj
-                else tokenize(str(obj["caption"]))
-            )
-            if masker is not None:
-                tokens = list(masker.mask(tokens).tokens)
-            caption_ids.append(str(obj.get("caption_id", "")))
-            sequences.append(vocabulary.encode(tokens))
-    rows = [
-        {
-            "caption_id": caption_id,
-            "predicted": names[int(probs.argmax())],
-            "scores": {n: float(p) for n, p in zip(names, probs)},
-            "max_score": float(probs.max()),
-        }
-        for caption_id, probs in zip(caption_ids, clf.predict_proba(model, sequences))
-    ]
-    rows.sort(key=lambda r: (-r["max_score"], r["caption_id"]))
-    with open(args.out, "w", encoding="utf-8") as dst:
-        for row in rows:
-            row.pop("max_score")
-            dst.write(json.dumps(row, ensure_ascii=False) + "\n")
-    if not args.quiet:
-        print(f"scored {len(rows)} captions -> {args.out}")
     return EXIT_OK
 
 
@@ -321,6 +279,11 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
                 }
 
     if "ba" in metrics:
+        mode = (
+            cooccur.CountMode.ATTR_WORDS_IN_CAPTION
+            if spec.has_word_lists
+            else cooccur.CountMode.ATTR_ANNOTATION
+        )
         task_words = config.get("task_words")
         if task_words:
             word_set = cooccur.TaskWordSet(
@@ -328,15 +291,10 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
             )
         else:
             word_set = cooccur.select_task_words(
-                human,
+                human, mode,
                 top_k=int(_resolve(config, args, "top_k", 1000)),
                 min_per_value=int(_resolve(config, args, "min_per_value", 100)),
             )
-        mode = (
-            cooccur.CountMode.ATTR_WORDS_IN_CAPTION
-            if spec.has_word_lists
-            else cooccur.CountMode.ATTR_ANNOTATION
-        )
         gt_table = cooccur.count_cooccurrence(human, word_set, mode)
         gen_table = cooccur.count_cooccurrence(generated, word_set, mode)
         results["ba"] = {
@@ -488,13 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("score", help="per-caption bias scores from a checkpoint")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True, help="vocabulary JSON export")
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_score)
-
     for name, preset in (
         ("report", None),
         ("ba", ["ba"]),
@@ -518,7 +469,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except (CorpusError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (CorpusError, FileNotFoundError, json.JSONDecodeError) as exc:
         logger.error("%s", exc)
         return EXIT_VALIDATION
     except (ClassifierError, FloatingPointError) as exc:

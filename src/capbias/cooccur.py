@@ -64,10 +64,6 @@ class CooccurrenceTable:
             raise CorpusError("co-occurrence counts must be non-negative")
 
     @property
-    def value_marginals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
     def word_marginals(self) -> np.ndarray:
         return self.counts.sum(axis=0)
 
@@ -120,16 +116,15 @@ class JointDistribution:
 
 def select_task_words(
     human_corpus: Corpus,
+    mode: CountMode,
     top_k: int = 1000,
     min_per_value: int = 100,
-    allow_words: Optional[frozenset[str]] = None,
 ) -> TaskWordSet:
     """Frequent caption words that co-occur enough with every attribute value.
 
-    Candidates are the top_k most frequent tokens (attribute words excluded,
-    optionally restricted to an allow-list); a word survives only if it
-    co-occurs at least min_per_value times with each attribute value in the
-    ground-truth captions.
+    Candidates are the top_k most frequent tokens (attribute words excluded);
+    a word survives only if it co-occurs at least min_per_value times with
+    each attribute value in the ground-truth captions, counted in `mode`.
     """
     spec = human_corpus.attribute_spec
     masker = Masker(spec)
@@ -141,16 +136,10 @@ def select_task_words(
     candidates = [
         t for t in sorted(freq, key=lambda t: (-freq[t], t))
         if t not in masker.all_words and t != spec.mask_token
-        and (allow_words is None or t in allow_words)
     ][:top_k]
     if not candidates:
         raise CorpusError("no task-word candidates; corpus may be too small")
 
-    mode = (
-        CountMode.ATTR_WORDS_IN_CAPTION
-        if spec.has_word_lists
-        else CountMode.ATTR_ANNOTATION
-    )
     table = count_cooccurrence(
         human_corpus, TaskWordSet(tuple(candidates), Provenance.USER_SUPPLIED), mode
     )
@@ -226,27 +215,6 @@ def count_cooccurrence(
     return CooccurrenceTable(values=spec.values, words=task_words.words, counts=counts)
 
 
-def bias_of(table: CooccurrenceTable) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Per-word attribute share b_al = c_al / sum_a c_al.
-
-    All-zero columns are excluded (with a warning) rather than producing
-    NaN; returns the bias matrix over the surviving words and those words.
-    """
-    totals = table.word_marginals
-    keep = totals > 0
-    dropped = [w for w, k in zip(table.words, keep) if not k]
-    if dropped:
-        logger.warning(
-            "excluding %d task words with zero co-occurrence: %s",
-            len(dropped), dropped[:10],
-        )
-    if not keep.any():
-        raise CorpusError("every task-word column is all-zero")
-    counts = table.counts[:, keep].astype(float)
-    bias = counts / counts.sum(axis=0, keepdims=True)
-    return bias, tuple(w for w, k in zip(table.words, keep) if k)
-
-
 def ba(b_hat: np.ndarray, b: np.ndarray, n_values: int) -> float:
     """Bias amplification: mean over words of the gated per-cell deltas.
 
@@ -265,6 +233,12 @@ def ba_from_tables(gt_table: CooccurrenceTable, gen_table: CooccurrenceTable) ->
     if gt_table.words != gen_table.words or gt_table.values != gen_table.values:
         raise CorpusError("tables must share the same task words and values")
     keep = (gt_table.word_marginals > 0) & (gen_table.word_marginals > 0)
+    dropped = [w for w, k in zip(gt_table.words, keep) if not k]
+    if dropped:
+        logger.warning(
+            "excluding %d task words with zero co-occurrence on a side: %s",
+            len(dropped), dropped[:10],
+        )
     if not keep.any():
         raise CorpusError("no task word has counts on both sides")
     gt = gt_table.counts[:, keep].astype(float)
@@ -324,21 +298,15 @@ def ratio(corpus: Corpus) -> float:
     return tally[second] / tally[first]
 
 
-def error_rate(corpus: Corpus, count_mixed_as_error: bool = False) -> float:
+def error_rate(corpus: Corpus) -> float:
     """Fraction of attribute-mentioning captions contradicting the annotation.
 
-    Captions with no mention are always excluded; mixed-mention captions are
-    excluded by default, or counted as errors when count_mixed_as_error.
+    Captions that mention no value or more than one are excluded.
     """
     n_total = 0
     n_wrong = 0
     for record, kind in zip(corpus.records, corpus.mention_kinds):
-        if record.attribute is None or kind == MENTION_NONE:
-            continue
-        if kind == MENTION_MIXED:
-            if count_mixed_as_error:
-                n_total += 1
-                n_wrong += 1
+        if record.attribute is None or kind in (MENTION_NONE, MENTION_MIXED):
             continue
         n_total += 1
         if kind != record.attribute:

@@ -158,25 +158,10 @@ class Corpus:
         masker = Masker(self.attribute_spec)
         return tuple(masker.mention(record.tokens).kind for record in self.records)
 
-    def filter_images(self, image_ids: Iterable[str]) -> "Corpus":
-        keep = set(image_ids)
-        return Corpus(
-            records=tuple(r for r in self.records if r.image_id in keep),
-            attribute_spec=self.attribute_spec,
-            object_annotations=self.object_annotations,
-        )
 
-
-@dataclass(frozen=True)
-class SplitPair:
-    """A balanced train split and held-out test split, disjoint by image."""
-
-    train: Corpus
-    test: Corpus
-    seed: int
-
-
-def _read_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
+def _read_jsonl(path: Path, required: Sequence[str] = ()) -> Iterable[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON Lines file;
+    every object must carry the `required` fields."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
@@ -188,6 +173,9 @@ def _read_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict):
                 raise CorpusError(f"{path}:{lineno}: expected a JSON object")
+            for name in required:
+                if name not in obj:
+                    raise CorpusError(f"{path}:{lineno}: missing field {name!r}")
             yield lineno, obj
 
 
@@ -195,7 +183,7 @@ def load_annotations(path: Path | str, attribute_spec: AttributeSpec) -> dict[st
     """Read an annotations JSONL file into an image_id -> value map."""
     path = Path(path)
     annotations: dict[str, str] = {}
-    for lineno, obj in _read_jsonl(path):
+    for lineno, obj in _read_jsonl(path, ("image_id", "attribute")):
         image_id = str(obj["image_id"])
         value = str(obj["attribute"])
         if value not in attribute_spec.values:
@@ -216,7 +204,7 @@ def load_object_annotations(path: Path | str) -> dict[str, frozenset[str]]:
     """Read an objects JSONL file into an image_id -> object-label-set map."""
     path = Path(path)
     objects: dict[str, frozenset[str]] = {}
-    for lineno, obj in _read_jsonl(path):
+    for lineno, obj in _read_jsonl(path, ("image_id", "objects")):
         image_id = str(obj["image_id"])
         labels = frozenset(str(x) for x in obj["objects"])
         if image_id in objects:
@@ -260,7 +248,8 @@ def load_corpus(
     seen_ids: set[str] = set()
     referenced_images: set[str] = set()
     n_rejected = 0
-    for lineno, obj in _read_jsonl(captions_path):
+    required = ("caption_id", "image_id", "source", "caption")
+    for lineno, obj in _read_jsonl(captions_path, required):
         caption_id = str(obj["caption_id"])
         if caption_id in seen_ids:
             raise CorpusError(
@@ -354,15 +343,3 @@ def balanced_image_split(
         test_ids.update(shuffled[:n_test])
         train_ids.update(shuffled[n_test:n_test + n_train])
     return train_ids, test_ids
-
-
-def balanced_split(corpus: Corpus, test_fraction: float, seed: int) -> SplitPair:
-    """Split a corpus by image into a balanced train set and a balanced test set."""
-    train_ids, test_ids = balanced_image_split(
-        corpus.annotation_map(), corpus.attribute_spec.values, test_fraction, seed
-    )
-    return SplitPair(
-        train=corpus.filter_images(train_ids),
-        test=corpus.filter_images(test_ids),
-        seed=seed,
-    )

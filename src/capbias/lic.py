@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from capbias import classifier as clf
-from capbias.classifier import AttributeClassifier, ClassifierConfig
+from capbias.classifier import ClassifierConfig
 from capbias.corpus import Corpus, CorpusError, balanced_image_split
 from capbias.masking import Masker
 from capbias.vocab import Vocabulary, align_to_prediction_vocab, build_vocab
@@ -75,16 +75,15 @@ class MetricReport:
         )
 
 
-def sc_accuracy(
-    classifier: AttributeClassifier,
-    sequences: Sequence[Sequence[int]],
-    labels: Sequence[int],
-) -> float:
-    """Fraction of captions whose predicted attribute matches the label."""
-    if len(sequences) == 0:
+def sc_accuracy(probs: np.ndarray, labels: Sequence[int]) -> float:
+    """Fraction of captions whose predicted attribute matches the label.
+
+    `probs` holds one row of class confidences per caption; the prediction
+    is its argmax, ties breaking toward the lower class index.
+    """
+    if len(probs) == 0:
         raise CorpusError("cannot score an empty caption set")
-    predictions = clf.predict(classifier, sequences)
-    return float((predictions == np.asarray(labels)).mean())
+    return float((probs.argmax(axis=1) == np.asarray(labels)).mean())
 
 
 def leakage(lambda_m: float, lambda_d: float) -> float:
@@ -92,20 +91,16 @@ def leakage(lambda_m: float, lambda_d: float) -> float:
     return lambda_m - lambda_d
 
 
-def lic_component(
-    classifier: AttributeClassifier,
-    sequences: Sequence[Sequence[int]],
-    labels: Sequence[int],
-) -> float:
+def lic_component(probs: np.ndarray, labels: Sequence[int]) -> float:
     """Confidence-weighted accuracy on the x100 scale.
 
-    Each caption contributes its true-class confidence when the prediction
-    is correct and zero otherwise; two balanced classes with no signal give
-    the unbiased reference value 25.
+    `probs` holds one row of class confidences per caption. Each caption
+    contributes its true-class confidence when the prediction is correct and
+    zero otherwise; two balanced classes with no signal give the unbiased
+    reference value 25.
     """
-    if len(sequences) == 0:
+    if len(probs) == 0:
         raise CorpusError("cannot score an empty caption set")
-    probs = clf.predict_proba(classifier, sequences)
     labels_arr = np.asarray(labels)
     correct = probs.argmax(axis=1) == labels_arr
     confidence = probs[np.arange(len(labels_arr)), labels_arr]
@@ -193,10 +188,8 @@ def run_protocol(
             test_x, test_y = _encode_corpus(corpus, test_ids, v_pre, masker, align)
             model = clf.init_classifier(run_config, v_pre, len(spec.values))
             clf.train(model, train_x, train_y, run_config)
-            sides[which] = (
-                lic_component(model, test_x, test_y),
-                sc_accuracy(model, test_x, test_y),
-            )
+            probs = clf.predict_proba(model, test_x)
+            sides[which] = (lic_component(probs, test_y), sc_accuracy(probs, test_y))
 
         lic_d_value, lambda_d = sides["d"]
         lic_m_value, lambda_m = sides["m"]

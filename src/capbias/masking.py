@@ -113,18 +113,6 @@ class Masker:
         return Mention(present[0])
 
 
-def mask_caption(tokens: Sequence[str], spec: AttributeSpec) -> MaskedCaption:
-    """Replace every attribute word (or plural) with the mask token.
-
-    Identity when the spec carries no word lists (e.g. race).
-    """
-    return Masker(spec).mask(tokens)
-
-
-def mention_label(tokens: Sequence[str], spec: AttributeSpec) -> Mention:
-    return Masker(spec).mention(tokens)
-
-
 def load_word_list_file(
     path: Path | str,
 ) -> tuple[dict[str, tuple[str, ...]], dict[str, str]]:

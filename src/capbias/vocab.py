@@ -7,41 +7,34 @@ cannot inflate the measured gap between the two caption sets.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from capbias.corpus import Corpus, CorpusError
+from capbias.corpus import CorpusError
 
 MASK_INDEX = 0
 OOV_INDEX = 1
 PAD_INDEX = 2
 
-DEFAULT_OOV = "<oov>"
-DEFAULT_PAD = "<pad>"
+OOV_TOKEN = "<oov>"
+PAD_TOKEN = "<pad>"
 
 
 class Vocabulary:
     """Token-to-index map with mask/oov/pad specials at indices 0..2."""
 
-    def __init__(
-        self,
-        tokens: Sequence[str],
-        mask_token: str,
-        oov_token: str = DEFAULT_OOV,
-        pad_token: str = DEFAULT_PAD,
-    ):
-        specials = (mask_token, oov_token, pad_token)
+    def __init__(self, tokens: Sequence[str], mask_token: str):
+        specials = (mask_token, OOV_TOKEN, PAD_TOKEN)
         if len(set(specials)) != 3:
             raise CorpusError(f"special tokens must be distinct, got {specials}")
         self.mask_token = mask_token
-        self.oov_token = oov_token
-        self.pad_token = pad_token
+        self.oov_token = OOV_TOKEN
+        self.pad_token = PAD_TOKEN
         self._index: dict[str, int] = {
             mask_token: MASK_INDEX,
-            oov_token: OOV_INDEX,
-            pad_token: PAD_INDEX,
+            OOV_TOKEN: OOV_INDEX,
+            PAD_TOKEN: PAD_INDEX,
         }
         for token in tokens:
             if token in self._index:
@@ -56,59 +49,22 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
-    def index_of(self, token: str) -> int:
-        return self._index.get(token, OOV_INDEX)
-
     def encode(self, tokens: Sequence[str]) -> list[int]:
         """Map tokens to indices; unknown tokens map to the OOV index."""
         return [self._index.get(t, OOV_INDEX) for t in tokens]
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._index)
-
     def to_json(self) -> str:
         return json.dumps(self._index, ensure_ascii=False, sort_keys=False)
 
-    @classmethod
-    def from_dict(cls, index: Mapping[str, int]) -> "Vocabulary":
-        """Rebuild a vocabulary from its exported token -> index map."""
-        by_index = sorted(index.items(), key=lambda kv: kv[1])
-        if [i for _, i in by_index] != list(range(len(by_index))):
-            raise CorpusError("vocabulary export has non-contiguous indices")
-        if len(by_index) < 3:
-            raise CorpusError("vocabulary export lacks the three special tokens")
-        mask_token, oov_token, pad_token = (t for t, _ in by_index[:3])
-        return cls(
-            [t for t, _ in by_index[3:]],
-            mask_token=mask_token,
-            oov_token=oov_token,
-            pad_token=pad_token,
-        )
-
-    def content_hash(self) -> str:
-        payload = json.dumps(sorted(self._index.items()), ensure_ascii=False)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
 
 def build_vocab(
-    captions: Corpus | Iterable[Sequence[str]],
-    min_count: int = 1,
-    mask_token: str | None = None,
+    token_lists: Iterable[Sequence[str]], mask_token: str, min_count: int = 1
 ) -> Vocabulary:
     """Vocabulary of all tokens with frequency >= min_count, plus specials.
 
     Ordering is frequency descending with lexicographic tie-break, so the
     result is deterministic for a given corpus.
     """
-    if isinstance(captions, Corpus):
-        if mask_token is None:
-            mask_token = captions.attribute_spec.mask_token
-        token_lists: Iterable[Sequence[str]] = (r.tokens for r in captions.records)
-    else:
-        if mask_token is None:
-            raise CorpusError("mask_token is required when not passing a Corpus")
-        token_lists = captions
-
     counts: Counter[str] = Counter()
     n_captions = 0
     for tokens in token_lists:
@@ -117,7 +73,7 @@ def build_vocab(
     if n_captions == 0:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
 
-    specials = {mask_token, DEFAULT_OOV, DEFAULT_PAD}
+    specials = {mask_token, OOV_TOKEN, PAD_TOKEN}
     kept = sorted(
         (t for t, c in counts.items() if c >= min_count and t not in specials),
         key=lambda t: (-counts[t], t),

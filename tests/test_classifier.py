@@ -18,10 +18,7 @@ from capbias.classifier import (
     _softmax,
     gradient_check,
     init_classifier,
-    load_checkpoint,
-    predict,
     predict_proba,
-    save_checkpoint,
     train,
 )
 from capbias.vocab import PAD_INDEX, build_vocab
@@ -43,11 +40,11 @@ def small_config(**overrides):
 def synthetic_data(vocabulary, n=40, seed=0, signal=True):
     """Sequences whose first token determines the label when signal=True."""
     rng = np.random.default_rng(seed)
-    marker = {0: vocabulary.index_of("w0"), 1: vocabulary.index_of("w1")}
+    marker = {0: vocabulary.encode(["w0"])[0], 1: vocabulary.encode(["w1"])[0]}
     sequences, labels = [], []
     for i in range(n):
         label = i % 2
-        body = [vocabulary.index_of(f"w{j}") for j in rng.integers(2, 20, size=5)]
+        body = vocabulary.encode([f"w{j}" for j in rng.integers(2, 20, size=5)])
         if signal:
             body.insert(0, marker[label])
         sequences.append(body)
@@ -119,7 +116,9 @@ class TestTrain:
         config = small_config(encoder_kind=encoder, epochs=40)
         sequences, labels = synthetic_data(vocabulary, n=60)
         model = train(init_classifier(config, vocabulary, 2), sequences, labels)
-        accuracy = (predict(model, sequences) == np.asarray(labels)).mean()
+        accuracy = (
+            predict_proba(model, sequences).argmax(axis=1) == np.asarray(labels)
+        ).mean()
         assert accuracy >= 0.99
 
     def test_no_signal_stays_near_chance(self, vocabulary):
@@ -129,7 +128,8 @@ class TestTrain:
             sequences, labels = synthetic_data(vocabulary, n=40, seed=seed, signal=False)
             model = train(init_classifier(config, vocabulary, 2), sequences, labels)
             hold_x, hold_y = synthetic_data(vocabulary, n=40, seed=seed + 100, signal=False)
-            accuracies.append((predict(model, hold_x) == np.asarray(hold_y)).mean())
+            predicted = predict_proba(model, hold_x).argmax(axis=1)
+            accuracies.append((predicted == np.asarray(hold_y)).mean())
         assert abs(float(np.mean(accuracies)) - 0.5) < 0.05
 
     def test_deterministic(self, vocabulary):
@@ -172,7 +172,7 @@ class TestTrain:
         model = init_classifier(small_config(), vocabulary, 2)
         # The mask token's row is read by no sequence, so the loss stays
         # finite and only the parameter check can see it.
-        model.params["embed"][vocabulary.index_of("<gender>")] = np.inf
+        model.params["embed"][vocabulary.encode(["<gender>"])[0]] = np.inf
         sequences, labels = synthetic_data(vocabulary)
         with pytest.raises(
             ClassifierError, match=r"non-finite parameter 'embed' at epoch 0, step 1"
@@ -478,27 +478,3 @@ class TestGradients:
                                  n_samples=120, rng_seed=case)
             worst = max(worst, err)
         assert worst < tolerance
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, vocabulary, tmp_path):
-        sequences, labels = synthetic_data(vocabulary)
-        model = train(init_classifier(small_config(), vocabulary, 2),
-                      sequences, labels)
-        path = tmp_path / "model.json"
-        save_checkpoint(model, path, class_names=("female", "male"))
-        restored = load_checkpoint(path, vocabulary)
-        assert restored.config == model.config
-        assert restored.class_names == ("female", "male")
-        assert np.allclose(
-            predict_proba(restored, sequences), predict_proba(model, sequences),
-            atol=1e-15,
-        )
-
-    def test_vocab_hash_mismatch(self, vocabulary, tmp_path):
-        model = init_classifier(small_config(), vocabulary, 2)
-        path = tmp_path / "model.json"
-        save_checkpoint(model, path)
-        other = build_vocab([["different", "tokens"]], mask_token="<gender>")
-        with pytest.raises(ClassifierError, match="hash"):
-            load_checkpoint(path, other)

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import capbias
-from capbias.classifier import ClassifierConfig, init_classifier, save_checkpoint
 from capbias.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -17,7 +16,6 @@ from capbias.cli import (
     run_metrics,
 )
 from capbias.corpus import CorpusError
-from capbias.vocab import build_vocab
 from conftest import write_jsonl
 
 
@@ -59,12 +57,24 @@ class TestMask:
     def test_missing_input(self, tmp_path):
         assert main(["mask", "--input", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o.jsonl"), "--quiet"]) == EXIT_VALIDATION
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_malformed_json(self, tmp_path):
         src = tmp_path / "caps.jsonl"
         src.write_text("{not json\n")
         assert main(["mask", "--input", str(src),
                      "--out", str(tmp_path / "o.jsonl"), "--quiet"]) == EXIT_VALIDATION
+
+    def test_invalid_line_writes_no_output(self, tmp_path, caplog):
+        src = write_jsonl(tmp_path / "caps.jsonl", [
+            {"caption_id": "c1", "caption": "a woman"},
+            {"caption_id": "c2", "caption": "!!!"},
+        ])
+        out = tmp_path / "o.jsonl"
+        assert main(["mask", "--input", str(src), "--out", str(out),
+                     "--quiet"]) == EXIT_VALIDATION
+        assert f"{src}:2: caption is empty after tokenization" in caplog.text
+        assert not out.exists()
 
     def test_custom_wordlist(self, tmp_path):
         wordlist = tmp_path / "words.tsv"
@@ -92,6 +102,22 @@ class TestVocab:
         assert exported["<gender>"] == 0
         assert "cat" in exported
 
+    def test_errors_name_file_and_line(self, tmp_path, caplog):
+        src = tmp_path / "caps.jsonl"
+        src.write_text('{"caption": "a cat"}\n{not json\n{"caption_id": "c3"}\n')
+        out = str(tmp_path / "vocab.json")
+        assert main(["vocab", "--input", str(src), "--out", out,
+                     "--quiet"]) == EXIT_VALIDATION
+        assert f"{src}:2: invalid JSON" in caplog.text
+        src.write_text('{"caption": "a cat"}\n\n{"caption_id": "c3"}\n')
+        assert main(["vocab", "--input", str(src), "--out", out,
+                     "--quiet"]) == EXIT_VALIDATION
+        assert f"{src}:3: missing field 'caption'" in caplog.text
+        src.write_text('{"caption": "a cat"}\n{"caption": "!!!"}\n')
+        assert main(["vocab", "--input", str(src), "--out", out,
+                     "--quiet"]) == EXIT_VALIDATION
+        assert f"{src}:2: caption is empty after tokenization" in caplog.text
+
 
 class TestSynth:
     def test_outputs(self, synth_dir):
@@ -104,47 +130,22 @@ class TestSynth:
         assert len(read_jsonl(synth_dir / "human_captions.jsonl")) == 120
         assert len(read_jsonl(synth_dir / "annotations.jsonl")) == 120
 
+    def test_missing_field_names_file_and_line(self, tmp_path, caplog):
+        spec = tmp_path / "spec.json"
+        spec.write_text('\n{"n_images": 120,\n "theta_human": 0.6}\n')
+        assert main(["synth", "--spec", str(spec), "--out-dir",
+                     str(tmp_path / "corpus"), "--quiet"]) == EXIT_VALIDATION
+        assert f"{spec}:2: missing field 'theta_generated'" in caplog.text
 
-class TestScore:
-    def test_stub_checkpoint(self, tmp_path):
-        vocabulary = build_vocab([["a", "cat", "dog"]], mask_token="<gender>")
-        model = init_classifier(
-            ClassifierConfig(embed_dim=4, hidden_dim=4), vocabulary, 2
-        )
-        checkpoint = tmp_path / "model.json"
-        save_checkpoint(model, checkpoint, class_names=("female", "male"))
-        vocab_path = tmp_path / "vocab.json"
-        vocab_path.write_text(vocabulary.to_json())
-        src = write_jsonl(tmp_path / "caps.jsonl", [
-            {"caption_id": "c1", "caption": "a cat"},
-            {"caption_id": "c2", "caption": "a dog"},
-        ])
-        out = tmp_path / "scores.jsonl"
-        assert main(["score", "--checkpoint", str(checkpoint),
-                     "--vocab", str(vocab_path), "--input", str(src),
-                     "--out", str(out), "--quiet"]) == EXIT_OK
-        rows = read_jsonl(out)
-        assert len(rows) == 2
-        for row in rows:
-            assert row["predicted"] in ("female", "male")
-            assert sum(row["scores"].values()) == pytest.approx(1.0)
 
-    def test_empty_input(self, tmp_path):
-        vocabulary = build_vocab([["a"]], mask_token="<gender>")
-        model = init_classifier(
-            ClassifierConfig(embed_dim=4, hidden_dim=4), vocabulary, 2
-        )
-        checkpoint = tmp_path / "model.json"
-        save_checkpoint(model, checkpoint)
-        vocab_path = tmp_path / "vocab.json"
-        vocab_path.write_text(vocabulary.to_json())
-        src = tmp_path / "empty.jsonl"
-        src.write_text("")
-        out = tmp_path / "scores.jsonl"
-        assert main(["score", "--checkpoint", str(checkpoint),
-                     "--vocab", str(vocab_path), "--input", str(src),
-                     "--out", str(out), "--quiet"]) == EXIT_OK
-        assert read_jsonl(out) == []
+def test_score_command_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "--checkpoint", str(tmp_path / "model.json"),
+              "--vocab", str(tmp_path / "vocab.json"),
+              "--input", str(tmp_path / "caps.jsonl"),
+              "--out", str(tmp_path / "scores.jsonl")])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "invalid choice: 'score'" in capsys.readouterr().err
 
 
 class TestReport:
@@ -221,6 +222,73 @@ class TestReport:
         with pytest.raises(CorpusError, match=rf"{bad}:{n_lines}: attribute value"):
             run_metrics({}, build_parser().parse_args(args))
         assert main(args) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("flag,field", [
+        ("--human-captions", "source"),
+        ("--generated-captions", "caption"),
+        ("--annotations", "attribute"),
+        ("--objects", "objects"),
+    ])
+    def test_missing_field_names_file_and_line(self, synth_dir, tmp_path, caplog,
+                                               flag, field):
+        image_ids = [row["image_id"] for row in read_jsonl(synth_dir / "annotations.jsonl")]
+        write_jsonl(tmp_path / "objects.jsonl", [
+            {"image_id": image_id, "objects": ["umbrella"]} for image_id in image_ids
+        ])
+        args = self._report_args(
+            synth_dir, tmp_path / "r.json", "ba",
+            extra=["--config", str(self._task_word_config(tmp_path)),
+                   "--objects", str(tmp_path / "objects.jsonl")],
+        )
+        source = Path(args[args.index(flag) + 1])
+        rows = read_jsonl(source)
+        del rows[2][field]
+        bad = write_jsonl(tmp_path / f"bad_{source.name}", rows)
+        args[args.index(flag) + 1] = str(bad)
+        assert main(args) == EXIT_VALIDATION
+        assert f"{bad}:3: missing field '{field}'" in caplog.text
+
+    def test_program_error_is_not_an_input_error(self, synth_dir, tmp_path):
+        # a KeyError inside a metric is a bug: a traceback and exit 1, not 2
+        args = self._report_args(
+            synth_dir, tmp_path / "r.json", "ba",
+            extra=["--config", str(self._task_word_config(tmp_path))],
+        )
+        script = (
+            "import sys\n"
+            "from capbias import cli, cooccur\n"
+            "def broken(*args, **kwargs):\n"
+            "    raise KeyError('task word')\n"
+            "cooccur.ba_from_tables = broken\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(capbias.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", script, *args], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert out.returncode == 1
+        assert "Traceback" in out.stderr and "KeyError" in out.stderr
+
+    def test_each_test_split_scored_once_per_seed(self, synth_dir, tmp_path,
+                                                  monkeypatch):
+        import capbias.classifier
+
+        calls = []
+        original = capbias.classifier.predict_proba
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(capbias.classifier, "predict_proba", counted)
+        args = self._report_args(
+            synth_dir, tmp_path / "r.json", "lic,sc,leakage",
+            extra=["--config", str(self._task_word_config(tmp_path)),
+                   "--n-seeds", "2", "--epochs", "1"],
+        )
+        assert main(args) == EXIT_OK
+        assert len(calls) == 4
 
     def test_dba_g_without_objects_fails(self, synth_dir, tmp_path):
         args = self._report_args(synth_dir, tmp_path / "r.json", "dba_g")

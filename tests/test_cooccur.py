@@ -14,7 +14,6 @@ from capbias.cooccur import (
     TaskWordSet,
     ba,
     ba_from_tables,
-    bias_of,
     count_cooccurrence,
     dba,
     error_rate,
@@ -112,7 +111,7 @@ class TestSelectTaskWords:
             for _ in range(n_m):
                 captions.append((f"c{k}", f"i{k}", ["man", word], "male")); k += 1
         corpus = make_corpus(plain_spec, captions)
-        out = select_task_words(corpus, top_k=10, min_per_value=2)
+        out = select_task_words(corpus, CountMode.ATTR_WORDS_IN_CAPTION, top_k=10, min_per_value=2)
         assert "pizza" in out.words
         assert "dress" not in out.words
         assert "woman" not in out.words  # attribute words excluded
@@ -122,7 +121,7 @@ class TestSelectTaskWords:
             ("c1", "i1", ["woman", "pizza"], "female"),
             ("c2", "i2", ["man", "pizza"], "male"),
         ])
-        out = select_task_words(corpus, top_k=1, min_per_value=1)
+        out = select_task_words(corpus, CountMode.ATTR_WORDS_IN_CAPTION, top_k=1, min_per_value=1)
         assert out.words == ("pizza",)
 
     def test_empty_result_suggests_relaxation(self, plain_spec):
@@ -131,32 +130,51 @@ class TestSelectTaskWords:
             ("c2", "i2", ["man", "horse"], "male"),
         ])
         with pytest.raises(CorpusError, match="min_per_value"):
-            select_task_words(corpus, top_k=5, min_per_value=3)
+            select_task_words(corpus, CountMode.ATTR_WORDS_IN_CAPTION, top_k=5, min_per_value=3)
 
 
 class TestBiasOf:
+    """The per-word attribute shares b_al = c_al / sum_a c_al, through the BA
+    of a one-word table against a reference whose shares are known."""
+
     def test_symmetry(self):
-        b, words = bias_of(table(("f", "m"), ("l",), [[2], [2]]))
-        assert b[:, 0].tolist() == [0.5, 0.5]
+        # shares 0.5 / 0.5 against a reference at 0.75 / 0.25, whose female
+        # cell alone passes the gate
+        even = table(("f", "m"), ("l",), [[2], [2]])
+        gt = table(("f", "m"), ("l",), [[3], [1]])
+        assert ba_from_tables(gt, even) == -0.25
+        # neither share of an even column exceeds 1/2, so no cell is gated in
+        assert ba_from_tables(even, gt) == 0.0
 
     def test_skew(self):
-        b, _ = bias_of(table(("f", "m"), ("l",), [[3], [1]]))
-        assert b[:, 0].tolist() == [0.75, 0.25]
+        gt = table(("f", "m"), ("l",), [[3], [1]])
+        assert ba_from_tables(gt, table(("f", "m"), ("l",), [[3], [1]])) == 0.0
+        gen = table(("f", "m"), ("l",), [[1], [3]])
+        assert ba_from_tables(gt, gen) == -0.5
 
     def test_degenerate_column(self):
-        b, _ = bias_of(table(("f", "m"), ("l",), [[0], [5]]))
-        assert b[:, 0].tolist() == [0.0, 1.0]
+        gt = table(("f", "m"), ("l",), [[0], [5]])
+        assert ba_from_tables(gt, table(("f", "m"), ("l",), [[1], [1]])) == -0.5
 
-    def test_zero_column_excluded(self):
-        b, words = bias_of(table(("f", "m"), ("l1", "l2"), [[3, 0], [1, 0]]))
-        assert words == ("l1",)
-        assert b.shape == (2, 1)
+    def test_zero_column_excluded(self, caplog):
+        gt = table(("f", "m"), ("l1", "l2"), [[3, 0], [1, 0]])
+        gen = table(("f", "m"), ("l1", "l2"), [[1, 2], [1, 2]])
+        with caplog.at_level("WARNING"):
+            assert ba_from_tables(gt, gen) == -0.25
+        assert any("excluding 1 task words" in m and "'l2'" in m
+                   for m in caplog.messages)
 
     def test_columns_sum_to_one(self):
+        # shares sum to one per word, so scaling a word's counts on one side
+        # leaves BA unchanged
         rng = np.random.default_rng(0)
         counts = rng.integers(1, 50, size=(3, 7))
-        b, _ = bias_of(table("abc", [f"w{i}" for i in range(7)], counts))
-        assert np.allclose(b.sum(axis=0), 1.0, atol=1e-12)
+        scale = rng.integers(1, 9, size=7)
+        words = [f"w{i}" for i in range(7)]
+        gt = table("abc", words, counts)
+        assert ba_from_tables(gt, table("abc", words, counts * scale)) == pytest.approx(
+            0.0, abs=1e-12
+        )
 
 
 class TestBa:
@@ -353,9 +371,6 @@ class TestRatioError:
             ("c1", "i1", ["man", "woman"], "male"),
         ]
         assert error_rate(make_corpus(plain_spec, captions)) == 0.0
-        assert error_rate(
-            make_corpus(plain_spec, captions), count_mixed_as_error=True
-        ) == 0.5
 
 
 # ---------------------------------------------------------------- oracles
@@ -533,9 +548,8 @@ class TestRatioErrorOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(rows=records_st, annotated=st.lists(st.booleans(), min_size=12,
-                                               max_size=12),
-           mixed_as_error=st.booleans())
-    def test_error_rate(self, rows, annotated, mixed_as_error):
+                                               max_size=12))
+    def test_error_rate(self, rows, annotated):
         corpus = make_corpus(SPEC, [
             (f"c{i}", f"i{i}", tokens, attr if keep else None)
             for i, ((tokens, attr, _), keep) in enumerate(zip(rows, annotated))
@@ -543,18 +557,12 @@ class TestRatioErrorOracle:
         total = wrong = 0
         for record in corpus.records:
             hits = [v for v, ws in GENDERED.items() if set(record.tokens) & ws]
-            if record.attribute is None or not hits:
-                continue
-            if len(hits) > 1:
-                total += mixed_as_error
-                wrong += mixed_as_error
+            if record.attribute is None or len(hits) != 1:
                 continue
             total += 1
             wrong += hits[0] != record.attribute
         if total == 0:
             with pytest.raises(CorpusError, match="error undefined"):
-                error_rate(corpus, count_mixed_as_error=mixed_as_error)
+                error_rate(corpus)
         else:
-            assert error_rate(
-                corpus, count_mixed_as_error=mixed_as_error
-            ) == wrong / total
+            assert error_rate(corpus) == wrong / total

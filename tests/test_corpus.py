@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from capbias.corpus import (
     AttributeSpec,
     CorpusError,
-    balanced_split,
+    balanced_image_split,
     load_corpus,
     tokenize,
 )
@@ -126,43 +126,54 @@ def _image_corpus(spec, n_female, n_male):
     return make_corpus(spec, captions)
 
 
+def split_records(corpus, test_fraction, seed):
+    """The train and test records of a corpus under `balanced_image_split`."""
+    train_ids, test_ids = balanced_image_split(
+        corpus.annotation_map(), corpus.attribute_spec.values, test_fraction, seed
+    )
+    return (
+        [r for r in corpus.records if r.image_id in train_ids],
+        [r for r in corpus.records if r.image_id in test_ids],
+    )
+
+
 class TestBalancedSplit:
     def test_even_counts(self, plain_spec):
         corpus = _image_corpus(plain_spec, 100, 100)
-        pair = balanced_split(corpus, 0.1, seed=0)
+        train, test = split_records(corpus, 0.1, seed=0)
         train_counts = {v: 0 for v in plain_spec.values}
-        for record in pair.train.records:
+        for record in train:
             train_counts[record.attribute] += 1
         assert train_counts == {"female": 90, "male": 90}
-        assert len(pair.test) == 20
+        assert len(test) == 20
 
     def test_majority_excess_excluded(self, plain_spec):
         corpus = _image_corpus(plain_spec, 120, 100)
-        pair = balanced_split(corpus, 0.1, seed=0)
+        train, test = split_records(corpus, 0.1, seed=0)
         counts = {"train": {}, "test": {}}
-        for part, corp in (("train", pair.train), ("test", pair.test)):
-            for record in corp.records:
+        for part, records in (("train", train), ("test", test)):
+            for record in records:
                 counts[part][record.attribute] = counts[part].get(record.attribute, 0) + 1
         assert counts["train"] == {"female": 90, "male": 90}
         assert counts["test"] == {"female": 10, "male": 10}
 
     def test_disjoint_by_image(self, plain_spec):
-        pair = balanced_split(_image_corpus(plain_spec, 30, 25), 0.2, seed=3)
-        train_images = {r.image_id for r in pair.train.records}
-        test_images = {r.image_id for r in pair.test.records}
+        train, test = split_records(_image_corpus(plain_spec, 30, 25), 0.2, seed=3)
+        train_images = {r.image_id for r in train}
+        test_images = {r.image_id for r in test}
         assert not train_images & test_images
 
     def test_deterministic(self, plain_spec):
         corpus = _image_corpus(plain_spec, 50, 60)
-        a = balanced_split(corpus, 0.1, seed=42)
-        b = balanced_split(corpus, 0.1, seed=42)
-        assert a.train.records == b.train.records
-        assert a.test.records == b.test.records
+        a = split_records(corpus, 0.1, seed=42)
+        b = split_records(corpus, 0.1, seed=42)
+        assert a[0] == b[0]
+        assert a[1] == b[1]
 
     def test_single_count_value_in_train(self, plain_spec):
-        pair = balanced_split(_image_corpus(plain_spec, 33, 47), 0.25, seed=1)
+        train, _ = split_records(_image_corpus(plain_spec, 33, 47), 0.25, seed=1)
         counts = {}
-        for record in pair.train.records:
+        for record in train:
             counts[record.attribute] = counts.get(record.attribute, 0) + 1
         assert len(set(counts.values())) == 1
 
@@ -170,7 +181,7 @@ class TestBalancedSplit:
         corpus = make_corpus(plain_spec, [("c1", "i1", ["x"], "female"),
                                           ("c2", "i2", ["y"], "female")])
         with pytest.raises(CorpusError):
-            balanced_split(corpus, 0.5, seed=0)
+            split_records(corpus, 0.5, seed=0)
 
 
 def test_content_hash_stable_and_order_independent(plain_spec):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from capbias.classifier import ClassifierConfig, init_classifier
+from capbias.classifier import ClassifierConfig
 from capbias.corpus import CorpusError
 from capbias.lic import (
     MetricReport,
@@ -16,18 +16,12 @@ from capbias.lic import (
     sc_accuracy,
 )
 from capbias.synth import SynthSpec, generate_pair
-from capbias.vocab import build_vocab
 
 
-def constant_classifier(probs):
-    """A classifier that outputs the same confidence vector for every input."""
-    probs = np.asarray(probs, dtype=np.float64)
-    vocabulary = build_vocab([["a", "b", "c"]], mask_token="<m>")
-    config = ClassifierConfig(embed_dim=4, hidden_dim=4)
-    model = init_classifier(config, vocabulary, len(probs))
-    model.params["W2"] = np.zeros_like(model.params["W2"])
-    model.params["b2"] = np.log(probs)
-    return model
+def constant_rows(probs, n):
+    """The confidence rows of a classifier that outputs `probs` for each of
+    n captions."""
+    return np.tile(np.asarray(probs, dtype=np.float64), (n, 1))
 
 
 class TestArithmetic:
@@ -46,36 +40,34 @@ class TestArithmetic:
 
 class TestLicComponent:
     def test_constant_three_class(self):
-        model = constant_classifier([0.34, 0.33, 0.33])
-        sequences = [[3]] * 10
+        probs = constant_rows([0.34, 0.33, 0.33], 10)
         labels = [0] * 10
         # always predicts class 0 with confidence 0.34, always correct
-        assert lic_component(model, sequences, labels) == pytest.approx(34.0, abs=1e-9)
+        assert lic_component(probs, labels) == pytest.approx(34.0, abs=1e-9)
 
     def test_constant_wrong_class_scores_zero(self):
-        model = constant_classifier([0.9, 0.1])
-        assert lic_component(model, [[3], [4]], [1, 1]) == pytest.approx(0.0, abs=1e-12)
+        probs = constant_rows([0.9, 0.1], 2)
+        assert lic_component(probs, [1, 1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_saturated_correct(self):
-        model = constant_classifier([1 - 1e-12, 1e-12])
-        assert lic_component(model, [[3]], [0]) == pytest.approx(100.0, abs=1e-6)
+        probs = constant_rows([1 - 1e-12, 1e-12], 1)
+        assert lic_component(probs, [0]) == pytest.approx(100.0, abs=1e-6)
 
     def test_mixed_labels(self):
-        model = constant_classifier([0.8, 0.2])
+        probs = constant_rows([0.8, 0.2], 4)
         # half the labels correct (conf 0.8), half wrong (contribute 0)
-        out = lic_component(model, [[3]] * 4, [0, 1, 0, 1])
+        out = lic_component(probs, [0, 1, 0, 1])
         assert out == pytest.approx(40.0, abs=1e-9)
 
     def test_empty_rejected(self):
-        model = constant_classifier([0.5, 0.5])
         with pytest.raises(CorpusError):
-            lic_component(model, [], [])
+            lic_component(constant_rows([0.5, 0.5], 0), [])
 
 
 class TestScAccuracy:
     def test_constant_predictor(self):
-        model = constant_classifier([0.7, 0.3])
-        assert sc_accuracy(model, [[3]] * 4, [0, 0, 1, 1]) == pytest.approx(0.5)
+        probs = constant_rows([0.7, 0.3], 4)
+        assert sc_accuracy(probs, [0, 0, 1, 1]) == pytest.approx(0.5)
 
 
 class TestMetricReport:

@@ -10,8 +10,6 @@ from capbias.masking import (
     expand_plurals,
     expanded_word_lists,
     load_word_list_file,
-    mask_caption,
-    mention_label,
     pluralize,
 )
 
@@ -40,23 +38,23 @@ class TestPlurals:
 
 class TestMaskCaption:
     def test_single_gendered_word(self, gender_spec):
-        out = mask_caption(["a", "girl", "is", "playing", "piano"], gender_spec)
+        out = Masker(gender_spec).mask(["a", "girl", "is", "playing", "piano"])
         assert out.tokens == ("a", "<gender>", "is", "playing", "piano")
         assert out.n_masked == 1
 
     def test_empty_word_lists_identity(self):
         race = AttributeSpec(name="race", values=("darker", "lighter"), mask_token="<race>")
-        out = mask_caption(["a", "person", "walking"], race)
+        out = Masker(race).mask(["a", "person", "walking"])
         assert out.tokens == ("a", "person", "walking")
         assert out.n_masked == 0
 
     def test_plural_and_possessive_words(self, gender_spec):
-        out = mask_caption(["the", "man", "and", "his", "sons"], gender_spec)
+        out = Masker(gender_spec).mask(["the", "man", "and", "his", "sons"])
         assert out.tokens == ("the", "<gender>", "and", "<gender>", "<gender>")
         assert out.n_masked == 3
 
     def test_no_substring_matching(self, gender_spec):
-        out = mask_caption(["the", "mandate", "manual"], gender_spec)
+        out = Masker(gender_spec).mask(["the", "mandate", "manual"])
         assert out.tokens == ("the", "mandate", "manual")
 
     def test_idempotent(self, gender_spec):
@@ -82,13 +80,14 @@ class TestMaskCaption:
 
 class TestMentionLabel:
     def test_only_female(self, gender_spec):
-        assert mention_label(["a", "woman", "cooking"], gender_spec).kind == "female"
+        assert Masker(gender_spec).mention(["a", "woman", "cooking"]).kind == "female"
 
     def test_mixed(self, gender_spec):
-        assert mention_label(["a", "man", "and", "a", "woman"], gender_spec).kind == MENTION_MIXED
+        tokens = ["a", "man", "and", "a", "woman"]
+        assert Masker(gender_spec).mention(tokens).kind == MENTION_MIXED
 
     def test_none(self, gender_spec):
-        assert mention_label(["a", "dog", "running"], gender_spec).kind == MENTION_NONE
+        assert Masker(gender_spec).mention(["a", "dog", "running"]).kind == MENTION_NONE
 
 
 def test_disjointness_enforced_after_expansion():
