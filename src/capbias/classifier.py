@@ -121,25 +121,38 @@ def _leaky_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, 1.0, LEAKY_SLOPE)
 
 
-def _pack(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All token ids in one int32 array, with each sequence's offset and length."""
-    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-    if (lengths == 0).any():
-        raise ClassifierError("cannot encode an empty token sequence")
-    tokens = np.fromiter(
-        itertools.chain.from_iterable(sequences), dtype=np.int32, count=int(lengths.sum())
-    )
-    return tokens, np.cumsum(lengths) - lengths, lengths
+@dataclass(frozen=True, eq=False)
+class Packed:
+    """Token-id sequences in one int32 array: sequence i is
+    `tokens[offsets[i]:offsets[i] + lengths[i]]`. Sequences need not be
+    stored in order or cover all of `tokens`."""
+
+    tokens: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @classmethod
+    def from_lists(cls, sequences: Sequence[Sequence[int]]) -> "Packed":
+        lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+        if (lengths == 0).any():
+            raise ClassifierError("cannot encode an empty token sequence")
+        tokens = np.fromiter(
+            itertools.chain.from_iterable(sequences), dtype=np.int32,
+            count=int(lengths.sum()),
+        )
+        return cls(tokens, np.cumsum(lengths) - lengths, lengths)
 
 
-def _gather_batch(packed, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gather_batch(packed: Packed, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Padded token ids (B, L) and a 0/1 float mask for the packed sequences `rows`."""
-    tokens, offsets, lengths = packed
-    batch_lengths = lengths[rows]
+    batch_lengths = packed.lengths[rows]
     positions = np.arange(batch_lengths.max())
     present = positions < batch_lengths[:, None]
     idx = np.full(present.shape, PAD_INDEX, dtype=np.int64)
-    idx[present] = tokens[(offsets[rows][:, None] + positions)[present]]
+    idx[present] = packed.tokens[(packed.offsets[rows][:, None] + positions)[present]]
     return idx, present.astype(np.float64)
 
 
@@ -303,7 +316,17 @@ def _encoder_backward(params, config, idx, mask, caches, d_enc, grads):
             np.zeros_like(d_final), grads, 1,
         )
         d_emb *= mask[..., None]
-    np.add.at(grads["embed"], idx, d_emb)
+    _add_rows(grads["embed"], idx, d_emb)
+
+
+def _add_rows(table: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """`np.add.at(table, idx, values)` for a C-contiguous (V, E) `table`,
+    through element indices into its flat view: each element receives its
+    additions in the same order, so the sums have the same bits, and the
+    1-D call is about three times faster."""
+    width = table.shape[1]
+    np.add.at(table.reshape(-1), (idx[..., None] * width + np.arange(width)).ravel(),
+              values.ravel())
 
 
 def _forward_batch(
@@ -350,15 +373,12 @@ def _loss_and_grads(
     return loss
 
 
-def predict_proba(
-    classifier: AttributeClassifier, sequences: Sequence[Sequence[int]]
-) -> np.ndarray:
+def predict_proba(classifier: AttributeClassifier, sequences: Packed) -> np.ndarray:
     """Batched confidences, shape (n_sequences, n_classes)."""
-    packed = _pack(sequences)
     out = np.zeros((len(sequences), classifier.n_classes))
     for start in range(0, len(sequences), PREDICT_CHUNK):
         rows = np.arange(start, min(start + PREDICT_CHUNK, len(sequences)))
-        logits, _ = _forward_batch(classifier, *_gather_batch(packed, rows))
+        logits, _ = _forward_batch(classifier, *_gather_batch(sequences, rows))
         out[rows] = _softmax(logits)
     return out
 
@@ -398,7 +418,7 @@ def _adam_step(param, grad, moment1, moment2, scratch1, scratch2, lr, step):
 
 def train(
     classifier: AttributeClassifier,
-    sequences: Sequence[Sequence[int]],
+    sequences: Packed,
     labels: Sequence[int],
     config: Optional[ClassifierConfig] = None,
 ) -> AttributeClassifier:
@@ -416,7 +436,6 @@ def train(
     labels_arr = np.asarray(labels, dtype=np.int64)
     if labels_arr.min() < 0 or labels_arr.max() >= classifier.n_classes:
         raise ClassifierError("label outside [0, n_classes)")
-    packed = _pack(sequences)
 
     # One float64 buffer holds every parameter; classifier.params become
     # views into it, and the Adam moments and the gradient share its layout,
@@ -441,7 +460,7 @@ def train(
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch_ids = order[start:start + config.batch_size]
-            idx, mask = _gather_batch(packed, batch_ids)
+            idx, mask = _gather_batch(sequences, batch_ids)
             loss = _loss_and_grads(classifier, idx, mask, labels_arr[batch_ids], grads)
             if not np.isfinite(loss):
                 raise ClassifierError(
@@ -484,7 +503,7 @@ def gradient_check(
     Samples coordinates across all parameter arrays; coordinates where both
     gradients are below a 1e-10 magnitude floor are skipped.
     """
-    idx, mask = _gather_batch(_pack([token_indices]), np.array([0]))
+    idx, mask = _gather_batch(Packed.from_lists([token_indices]), np.array([0]))
     labels = np.array([label])
     grads = {k: np.zeros_like(v) for k, v in classifier.params.items()}
     _loss_and_grads(classifier, idx, mask, labels, grads)

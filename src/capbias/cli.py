@@ -129,6 +129,11 @@ def cmd_vocab(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- synth
 
 
+def _int_pair(value) -> tuple[int, int]:
+    lo, hi = value
+    return int(lo), int(hi)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     text = Path(args.spec).read_text(encoding="utf-8")
     spec_obj = json.loads(text)
@@ -139,23 +144,34 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for name in ("n_images", "theta_human", "theta_generated"):
         if name not in spec_obj:
             raise CorpusError(f"{args.spec}:{lineno}: missing field {name!r}")
+
+    def number(name, kind, default=None):
+        value = spec_obj.get(name, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise CorpusError(
+                f"{args.spec}:{lineno}: field {name!r} has a value of the wrong "
+                f"type: {value!r}"
+            ) from None
+
     common = {
-        "n_images": int(spec_obj["n_images"]),
+        "n_images": number("n_images", int),
         "values": tuple(spec_obj.get("values", ("female", "male"))),
         "marker_words": {
             v: tuple(ws) for v, ws in spec_obj.get(
                 "marker_words", synth.DEFAULT_MARKERS
             ).items()
         },
-        "filler_vocab_size": int(spec_obj.get("filler_vocab_size", 50)),
-        "caption_length_range": tuple(spec_obj.get("caption_length_range", (6, 10))),
+        "filler_vocab_size": number("filler_vocab_size", int, 50),
+        "caption_length_range": number("caption_length_range", _int_pair, (6, 10)),
     }
-    seed = int(spec_obj.get("seed", args.seed or 0))
+    seed = number("seed", int, args.seed or 0)
     human_spec = synth.SynthSpec(
-        marker_probability=float(spec_obj["theta_human"]), seed=seed, **common
+        marker_probability=number("theta_human", float), seed=seed, **common
     )
     generated_spec = synth.SynthSpec(
-        marker_probability=float(spec_obj["theta_generated"]),
+        marker_probability=number("theta_generated", float),
         seed=lic_mod.derive_seed(seed, 1),
         **common,
     )

@@ -206,6 +206,8 @@ def load_object_annotations(path: Path | str) -> dict[str, frozenset[str]]:
     objects: dict[str, frozenset[str]] = {}
     for lineno, obj in _read_jsonl(path, ("image_id", "objects")):
         image_id = str(obj["image_id"])
+        if not isinstance(obj["objects"], list):
+            raise CorpusError(f"{path}:{lineno}: field 'objects' must be a JSON list")
         labels = frozenset(str(x) for x in obj["objects"])
         if image_id in objects:
             objects[image_id] = objects[image_id] | labels

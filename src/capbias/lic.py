@@ -9,10 +9,11 @@ captions cannot benefit from a richer word inventory.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from capbias import classifier as clf
 from capbias.classifier import ClassifierConfig
 from capbias.corpus import Corpus, CorpusError, balanced_image_split
 from capbias.masking import Masker
-from capbias.vocab import Vocabulary, align_to_prediction_vocab, build_vocab
+from capbias.vocab import align_to_prediction_vocab, build_vocab
 
 logger = logging.getLogger(__name__)
 
@@ -112,25 +113,45 @@ def lic(lic_m: float, lic_d: float) -> float:
     return lic_m - lic_d
 
 
+class _Encoded(NamedTuple):
+    """A corpus's captions as report-wide ids, in record order."""
+
+    ids: clf.Packed  # token ids
+    images: np.ndarray  # each caption's image, as its index in the report's image ids
+    labels: np.ndarray  # index of each caption's attribute value, -1 for none
+
+
 def _encode_corpus(
     corpus: Corpus,
-    image_ids: set[str],
-    vocabulary: Vocabulary,
     masker: Masker,
-    align: bool,
-) -> tuple[list[list[int]], list[int]]:
+    token_ids: dict[str, int],
+    image_ids: dict[str, int],
+) -> tuple[list[tuple[str, ...]], _Encoded]:
+    """Mask every caption once and intern its tokens and image; new tokens
+    and images get the next id in `token_ids` / `image_ids`. Returns the
+    masked captions and their encoding."""
     value_index = {v: i for i, v in enumerate(corpus.attribute_spec.values)}
-    sequences: list[list[int]] = []
-    labels: list[int] = []
-    for record in corpus.records:
-        if record.image_id not in image_ids or record.attribute is None:
-            continue
-        tokens: Sequence[str] = masker.mask(record.tokens).tokens
-        if align:
-            tokens = align_to_prediction_vocab(tokens, vocabulary)
-        sequences.append(vocabulary.encode(tokens))
-        labels.append(value_index[record.attribute])
-    return sequences, labels
+    masked = [masker.mask(record.tokens).tokens for record in corpus.records]
+    for token in dict.fromkeys(itertools.chain.from_iterable(masked)):
+        token_ids.setdefault(token, len(token_ids))
+    # Ids are read straight into the array: a Python list per caption would
+    # leave the heap fragmented around the objects kept for the whole report,
+    # and that showed as 1-2 MB more peak RSS.
+    lengths = np.fromiter(map(len, masked), dtype=np.int64, count=len(masked))
+    tokens = np.fromiter(
+        map(token_ids.__getitem__, itertools.chain.from_iterable(masked)),
+        dtype=np.int32, count=int(lengths.sum()),
+    )
+    ids = clf.Packed(tokens, np.cumsum(lengths) - lengths, lengths)
+    images = np.array(
+        [image_ids.setdefault(r.image_id, len(image_ids)) for r in corpus.records],
+        dtype=np.int64,
+    )
+    labels = np.array(
+        [-1 if r.attribute is None else value_index[r.attribute] for r in corpus.records],
+        dtype=np.int64,
+    )
+    return masked, _Encoded(ids, images, labels)
 
 
 def run_protocol(
@@ -159,6 +180,17 @@ def run_protocol(
                 f"image {image_id!r} annotated inconsistently across corpora"
             )
 
+    # Every caption is masked and interned once per report; each seed then
+    # selects its rows with numpy and maps the report-wide token ids to the
+    # seed's vocabulary through one lookup array.
+    # Only the generated side's masked captions are read again, to build each
+    # seed's vocabulary; the human side's are dropped here.
+    token_ids: dict[str, int] = {}
+    image_ids: dict[str, int] = {}
+    human = _encode_corpus(human_corpus, masker, token_ids, image_ids)[1]
+    gen_masked, generated = _encode_corpus(generated_corpus, masker, token_ids, image_ids)
+    tokens = tuple(token_ids)
+
     samples: dict[str, list[float]] = {
         name: [] for name in ("lic_d", "lic_m", "lic", "sc", "leakage")
     }
@@ -168,26 +200,37 @@ def run_protocol(
         train_ids, test_ids = balanced_image_split(
             annotations, spec.values, config.test_fraction, split_seed
         )
+        # Split images are annotated in the generated corpus, so they have ids.
+        in_train = np.zeros(len(image_ids), dtype=bool)
+        in_train[[image_ids[i] for i in train_ids]] = True
+        in_test = np.zeros(len(image_ids), dtype=bool)
+        in_test[[image_ids[i] for i in test_ids]] = True
 
         gen_train_masked = [
-            masker.mask(r.tokens).tokens
-            for r in generated_corpus.records
-            if r.image_id in train_ids
+            gen_masked[i] for i in np.flatnonzero(in_train[generated.images])
         ]
         if not gen_train_masked:
             raise CorpusError("generated corpus has no captions in the train split")
         v_pre = build_vocab(gen_train_masked, mask_token=spec.mask_token)
+        # The mask token is always in v_pre, so aligning a token and encoding
+        # it gives the index that encoding it alone gives: the lookup serves
+        # the unaligned generated side too.
+        lookup = np.array(
+            v_pre.encode(align_to_prediction_vocab(tokens, v_pre)), dtype=np.int32
+        )
 
         run_config = replace(config.classifier, seed=init_seed)
         sides = {}
-        for which, corpus, align in (
-            ("d", human_corpus, True),
-            ("m", generated_corpus, False),
-        ):
-            train_x, train_y = _encode_corpus(corpus, train_ids, v_pre, masker, align)
-            test_x, test_y = _encode_corpus(corpus, test_ids, v_pre, masker, align)
+        for which, (ids, images, labels) in (("d", human), ("m", generated)):
+            mapped = lookup[ids.tokens]
+            labelled = labels >= 0
+            train_rows = np.flatnonzero(in_train[images] & labelled)
+            test_rows = np.flatnonzero(in_test[images] & labelled)
+            train_x = clf.Packed(mapped, ids.offsets[train_rows], ids.lengths[train_rows])
+            test_x = clf.Packed(mapped, ids.offsets[test_rows], ids.lengths[test_rows])
+            test_y = labels[test_rows]
             model = clf.init_classifier(run_config, v_pre, len(spec.values))
-            clf.train(model, train_x, train_y, run_config)
+            clf.train(model, train_x, labels[train_rows], run_config)
             probs = clf.predict_proba(model, test_x)
             sides[which] = (lic_component(probs, test_y), sc_accuracy(probs, test_y))
 

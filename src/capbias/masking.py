@@ -102,7 +102,12 @@ class Masker:
                 n_masked += 1
             else:
                 masked.append(token)
-        return MaskedCaption(tokens=tuple(masked), n_masked=n_masked)
+        # A caption with nothing to mask keeps its own tuple (`tuple` of a
+        # tuple is that tuple), so callers that keep masked captions hold no
+        # copies of unchanged ones.
+        return MaskedCaption(
+            tokens=tuple(masked) if n_masked else tuple(tokens), n_masked=n_masked
+        )
 
     def mention(self, tokens: Sequence[str]) -> Mention:
         present = [v for v, words in self.by_value.items() if words & set(tokens)]

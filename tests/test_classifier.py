@@ -12,9 +12,10 @@ from capbias.classifier import (
     LEAKY_SLOPE,
     ClassifierConfig,
     ClassifierError,
+    Packed,
+    _add_rows,
     _gather_batch,
     _loss_and_grads,
-    _pack,
     _softmax,
     gradient_check,
     init_classifier,
@@ -66,7 +67,7 @@ class TestInit:
 
     def test_fresh_model_near_uniform(self, vocabulary):
         model = init_classifier(small_config(), vocabulary, 4)
-        probs = predict_proba(model, [[3, 4, 5]])[0]
+        probs = predict_proba(model, Packed.from_lists([[3, 4, 5]]))[0]
         assert probs.shape == (4,)
         assert np.all(np.abs(probs - 0.25) < 0.2)
 
@@ -93,21 +94,22 @@ class TestForward:
 
     def test_bag_mean_duplication_invariant(self, vocabulary):
         model = init_classifier(small_config(), vocabulary, 2)
-        once = predict_proba(model, [[5]])[0]
-        twice = predict_proba(model, [[5, 5]])[0]
+        once = predict_proba(model, Packed.from_lists([[5]]))[0]
+        twice = predict_proba(model, Packed.from_lists([[5, 5]]))[0]
         assert np.allclose(once, twice, atol=1e-12)
 
     def test_batched_matches_single(self, vocabulary):
         model = init_classifier(small_config(encoder_kind="birecurrent"), vocabulary, 2)
         sequences = [[3, 4], [5, 6, 7, 8], [9]]
-        batched = predict_proba(model, sequences)
+        batched = predict_proba(model, Packed.from_lists(sequences))
         for i, seq in enumerate(sequences):
-            assert np.allclose(batched[i], predict_proba(model, [seq])[0], atol=1e-12)
+            single = predict_proba(model, Packed.from_lists([seq]))[0]
+            assert np.allclose(batched[i], single, atol=1e-12)
 
     def test_empty_sequence_rejected(self, vocabulary):
         model = init_classifier(small_config(), vocabulary, 2)
         with pytest.raises(ClassifierError):
-            predict_proba(model, [[]])
+            predict_proba(model, Packed.from_lists([[]]))
 
 
 class TestTrain:
@@ -115,9 +117,10 @@ class TestTrain:
     def test_separable_data_learned(self, vocabulary, encoder):
         config = small_config(encoder_kind=encoder, epochs=40)
         sequences, labels = synthetic_data(vocabulary, n=60)
-        model = train(init_classifier(config, vocabulary, 2), sequences, labels)
+        packed = Packed.from_lists(sequences)
+        model = train(init_classifier(config, vocabulary, 2), packed, labels)
         accuracy = (
-            predict_proba(model, sequences).argmax(axis=1) == np.asarray(labels)
+            predict_proba(model, packed).argmax(axis=1) == np.asarray(labels)
         ).mean()
         assert accuracy >= 0.99
 
@@ -126,9 +129,10 @@ class TestTrain:
         for seed in range(10):
             config = small_config(seed=seed, epochs=3, learning_rate=0.001)
             sequences, labels = synthetic_data(vocabulary, n=40, seed=seed, signal=False)
-            model = train(init_classifier(config, vocabulary, 2), sequences, labels)
+            model = train(init_classifier(config, vocabulary, 2),
+                          Packed.from_lists(sequences), labels)
             hold_x, hold_y = synthetic_data(vocabulary, n=40, seed=seed + 100, signal=False)
-            predicted = predict_proba(model, hold_x).argmax(axis=1)
+            predicted = predict_proba(model, Packed.from_lists(hold_x)).argmax(axis=1)
             accuracies.append((predicted == np.asarray(hold_y)).mean())
         assert abs(float(np.mean(accuracies)) - 0.5) < 0.05
 
@@ -137,7 +141,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             model = train(init_classifier(small_config(), vocabulary, 2),
-                          sequences, labels)
+                          Packed.from_lists(sequences), labels)
             runs.append(model)
         for key in runs[0].params:
             assert np.array_equal(runs[0].params[key], runs[1].params[key])
@@ -146,18 +150,18 @@ class TestTrain:
     def test_loss_decreases_on_separable_data(self, vocabulary):
         sequences, labels = synthetic_data(vocabulary)
         model = train(init_classifier(small_config(epochs=10), vocabulary, 2),
-                      sequences, labels)
+                      Packed.from_lists(sequences), labels)
         assert model.training_log[-1] < model.training_log[0]
 
     def test_length_mismatch(self, vocabulary):
         model = init_classifier(small_config(), vocabulary, 2)
         with pytest.raises(ClassifierError):
-            train(model, [[1, 2]], [0, 1])
+            train(model, Packed.from_lists([[1, 2]]), [0, 1])
 
     def test_label_out_of_range(self, vocabulary):
         model = init_classifier(small_config(), vocabulary, 2)
         with pytest.raises(ClassifierError):
-            train(model, [[1, 2]], [2])
+            train(model, Packed.from_lists([[1, 2]]), [2])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_parameters_abort(self, vocabulary):
@@ -165,7 +169,7 @@ class TestTrain:
                                 vocabulary, 2)
         sequences, labels = synthetic_data(vocabulary)
         with pytest.raises(ClassifierError, match="epoch"):
-            train(model, sequences, labels)
+            train(model, Packed.from_lists(sequences), labels)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_parameter_error_names_key(self, vocabulary):
@@ -177,7 +181,7 @@ class TestTrain:
         with pytest.raises(
             ClassifierError, match=r"non-finite parameter 'embed' at epoch 0, step 1"
         ):
-            train(model, sequences, labels)
+            train(model, Packed.from_lists(sequences), labels)
 
 
 def _batch_grads(model, idx, mask, labels):
@@ -254,7 +258,8 @@ class TestAdamReference:
         labels = [int(seq[0]) % 3 for seq in sequences]
         config = small_config(encoder_kind=encoder, embed_dim=32, epochs=3,
                               batch_size=8, seed=4)
-        fast = train(init_classifier(config, vocabulary, 3), sequences, labels)
+        fast = train(init_classifier(config, vocabulary, 3), Packed.from_lists(sequences),
+                     labels)
         slow = reference_train(init_classifier(config, vocabulary, 3), sequences, labels)
         assert list(fast.params) == list(slow.params)
         for key in slow.params:
@@ -385,7 +390,7 @@ class TestPadding:
         rows = data.draw(st.lists(
             st.integers(0, len(sequences) - 1), min_size=1, max_size=len(sequences)
         ))
-        idx, mask = _gather_batch(_pack(sequences), np.asarray(rows))
+        idx, mask = _gather_batch(Packed.from_lists(sequences), np.asarray(rows))
         ref_idx, ref_mask = _pad_batch([sequences[r] for r in rows])
         assert idx.dtype == ref_idx.dtype and mask.dtype == ref_mask.dtype
         assert np.array_equal(idx, ref_idx)
@@ -397,7 +402,7 @@ class TestPadding:
         sequences, labels = synthetic_data(vocabulary)
         sequences[-1] = []
         with pytest.raises(ClassifierError, match="^cannot encode an empty token sequence$"):
-            train(model, sequences, labels)
+            train(model, Packed.from_lists(sequences), labels)
         assert model.training_log == []
         for key, value in before.items():
             assert np.array_equal(model.params[key], value), key
@@ -443,14 +448,14 @@ class TestBirecurrentReference:
         assert list(grads) == list(ref_grads)
         for key in ref_grads:
             assert np.array_equal(grads[key], ref_grads[key]), key
-        assert np.array_equal(predict_proba(model, sequences),
+        assert np.array_equal(predict_proba(model, Packed.from_lists(sequences)),
                               reference_proba(model, sequences))
 
     def test_train_matches_reference_loop(self):
         model, sequences, labels = self._setup(
             21, 45, (1, 10), epochs=2, batch_size=8, learning_rate=0.01
         )
-        fast = train(model, sequences, labels)
+        fast = train(model, Packed.from_lists(sequences), labels)
         slow_model, _, _ = self._setup(21, 45, (1, 10), epochs=2, batch_size=8,
                                        learning_rate=0.01)
         slow = reference_train(slow_model, sequences, labels,
@@ -459,6 +464,31 @@ class TestBirecurrentReference:
             assert np.array_equal(fast.params[key], slow.params[key]), key
         assert fast.training_log == slow.training_log
         assert len(fast.training_log) == 2
+
+
+class TestEmbeddingGradient:
+    @pytest.mark.parametrize("batch,length,width,rows", [
+        (256, 11, 16, 3),    # few rows: every row repeats many times
+        (32, 10, 64, 4891),
+        (5, 7, 3, 2),
+    ])
+    def test_flat_add_matches_row_add(self, batch, length, width, rows):
+        rng = np.random.default_rng(batch + width)
+        for _ in range(20):
+            idx = rng.integers(0, rows, size=(batch, length))
+            values = rng.normal(size=(batch, length, width))
+            # Signed zeros in both operands: -0.0 + -0.0 stays -0.0 and
+            # -0.0 + 0.0 is 0.0, so a different order of adds would show.
+            values[rng.random(values.shape) < 0.3] = -0.0
+            values[rng.random(values.shape) < 0.1] = 0.0
+            start = rng.normal(size=(rows, width))
+            start[rng.random(start.shape) < 0.5] = -0.0
+            expected = start.copy()
+            np.add.at(expected, idx, values)
+            got = start.copy()
+            _add_rows(got, idx, values)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestGradients:

@@ -138,6 +138,23 @@ class TestSynth:
         assert f"{spec}:2: missing field 'theta_generated'" in caplog.text
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_images", "many"),
+        ("theta_generated", [0.9]),
+        ("seed", {}),
+        ("caption_length_range", 5),
+        ("caption_length_range", ["six", "ten"]),
+    ])
+    def test_wrong_type_names_file_and_line(self, tmp_path, caplog, field, value):
+        fields = {"n_images": 120, "theta_human": 0.6, "theta_generated": 0.9,
+                  field: value}
+        spec = tmp_path / "spec.json"
+        spec.write_text("\n" + json.dumps(fields) + "\n")
+        assert main(["synth", "--spec", str(spec), "--out-dir",
+                     str(tmp_path / "corpus"), "--quiet"]) == EXIT_VALIDATION
+        assert f"{spec}:2: field {field!r} has a value of the wrong type" in caplog.text
+
+
 def test_score_command_is_gone(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["score", "--checkpoint", str(tmp_path / "model.json"),
@@ -247,6 +264,20 @@ class TestReport:
         args[args.index(flag) + 1] = str(bad)
         assert main(args) == EXIT_VALIDATION
         assert f"{bad}:3: missing field '{field}'" in caplog.text
+
+    @pytest.mark.parametrize("objects", [5, "abc", {"umbrella": 1}])
+    def test_objects_must_be_a_list(self, synth_dir, tmp_path, caplog, objects):
+        image_ids = [row["image_id"] for row in read_jsonl(synth_dir / "annotations.jsonl")]
+        rows = [{"image_id": image_id, "objects": ["umbrella"]} for image_id in image_ids]
+        rows[2]["objects"] = objects
+        bad = write_jsonl(tmp_path / "objects.jsonl", rows)
+        args = self._report_args(
+            synth_dir, tmp_path / "r.json", "ba",
+            extra=["--config", str(self._task_word_config(tmp_path)),
+                   "--objects", str(bad)],
+        )
+        assert main(args) == EXIT_VALIDATION
+        assert f"{bad}:3: field 'objects' must be a JSON list" in caplog.text
 
     def test_program_error_is_not_an_input_error(self, synth_dir, tmp_path):
         # a KeyError inside a metric is a bug: a traceback and exit 1, not 2

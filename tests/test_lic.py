@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from capbias import classifier as clf
+from capbias import lic as lic_module
 from capbias.classifier import ClassifierConfig
-from capbias.corpus import CorpusError
+from capbias.corpus import CorpusError, Source, balanced_image_split
 from capbias.lic import (
     MetricReport,
     ProtocolConfig,
@@ -15,7 +17,10 @@ from capbias.lic import (
     run_protocol,
     sc_accuracy,
 )
+from capbias.masking import Masker
 from capbias.synth import SynthSpec, generate_pair
+from capbias.vocab import OOV_INDEX, align_to_prediction_vocab, build_vocab
+from conftest import make_corpus
 
 
 def constant_rows(probs, n):
@@ -142,3 +147,137 @@ class TestRunProtocol:
         reports = run_protocol(human, generated, small_protocol(n_seeds=1))
         assert reports["lic"].std is None
         assert len(reports["lic"].per_seed) == 1
+
+
+def oracle_encode(corpus, image_ids, vocabulary, masker, align):
+    """Per-caption encoding of one split: each caption masked, aligned to the
+    prediction vocabulary when `align` is set, and encoded on its own."""
+    value_index = {v: i for i, v in enumerate(corpus.attribute_spec.values)}
+    sequences, labels = [], []
+    for record in corpus.records:
+        if record.image_id not in image_ids or record.attribute is None:
+            continue
+        tokens = masker.mask(record.tokens).tokens
+        if align:
+            tokens = align_to_prediction_vocab(tokens, vocabulary)
+        sequences.append(vocabulary.encode(tokens))
+        labels.append(value_index[record.attribute])
+    return sequences, labels
+
+
+def oracle_sets(human, generated, config, master_seed):
+    """Per seed and side ("d" human, "m" generated), the train and test
+    sequences and labels, computed caption by caption."""
+    spec = human.attribute_spec
+    masker = Masker(spec)
+    annotations = generated.annotation_map()
+    out = []
+    for run in range(config.n_seeds):
+        train_ids, test_ids = balanced_image_split(
+            annotations, spec.values, config.test_fraction,
+            derive_seed(master_seed, 3 * run),
+        )
+        v_pre = build_vocab(
+            [masker.mask(r.tokens).tokens for r in generated.records
+             if r.image_id in train_ids],
+            mask_token=spec.mask_token,
+        )
+        for corpus, align in ((human, True), (generated, False)):
+            out.append((
+                oracle_encode(corpus, train_ids, v_pre, masker, align),
+                oracle_encode(corpus, test_ids, v_pre, masker, align),
+            ))
+    return out
+
+
+def unpack(packed):
+    return [packed.tokens[o:o + n].tolist() for o, n in zip(packed.offsets, packed.lengths)]
+
+
+@pytest.fixture
+def mixed_pair(plain_spec):
+    """Hand-built corpora with what the protocol's encoding must get right:
+    attribute words to mask, a word unique to each image (so every test
+    image has tokens the train split never saw), literal "<oov>", "<pad>"
+    and mask tokens, captions with no attribute on split images on both
+    sides, and human captions of images the generated corpus lacks."""
+    human, generated = [], []
+    for i in range(24):
+        value = ("female", "male")[i % 2]
+        word = ("woman", "man")[i % 2]
+        img = f"img{i}"
+        generated.append((f"g{i}", img, ["a", word, f"only{i}", "rides"], value))
+        for k in range(3):
+            tokens = ["the", word if k else "person", f"only{i}", f"h{k}"]
+            if i % 5 == 0:
+                tokens.append(("<oov>", "<pad>", "<gender>")[k])
+            human.append((f"h{i}_{k}", img, tokens, value if i % 7 else None))
+        if i % 6 == 0:
+            generated.append((f"g{i}_none", img, ["<pad>", "women", f"gen{i}"], None))
+    for i in range(4):
+        human.append((f"x{i}", f"human_only{i}", ["a", "men", "zzz"], "male"))
+    return (make_corpus(plain_spec, human),
+            make_corpus(plain_spec, generated, source=Source.MODEL))
+
+
+class TestEncodeOnce:
+    @staticmethod
+    def _config(n_seeds):
+        return ProtocolConfig(
+            n_seeds=n_seeds,
+            classifier=ClassifierConfig(embed_dim=4, hidden_dim=4, epochs=1,
+                                        batch_size=8),
+            test_fraction=0.25,
+        )
+
+    @pytest.mark.parametrize("master_seed", [1, 3])
+    def test_sets_match_per_caption_encoding(self, mixed_pair, monkeypatch,
+                                             master_seed):
+        human, generated = mixed_pair
+        config = self._config(3)
+        seen = []
+        train, predict = clf.train, clf.predict_proba
+
+        def record_train(model, sequences, labels, *args):
+            seen.append(("train", unpack(sequences), np.asarray(labels).tolist()))
+            return train(model, sequences, labels, *args)
+
+        def record_predict(model, sequences):
+            seen.append(("test", unpack(sequences)))
+            return predict(model, sequences)
+
+        def record_component(probs, labels):
+            seen.append(("score", np.asarray(labels).tolist()))
+            return lic_component(probs, labels)
+
+        monkeypatch.setattr(clf, "train", record_train)
+        monkeypatch.setattr(clf, "predict_proba", record_predict)
+        monkeypatch.setattr(lic_module, "lic_component", record_component)
+        run_protocol(human, generated, config, master_seed=master_seed)
+
+        expected = oracle_sets(human, generated, config, master_seed)
+        assert [kind for kind, *_ in seen] == ["train", "test", "score"] * len(expected)
+        oov = 0
+        for (_, train_x, train_y), (_, test_x), (_, test_y), (train_set, test_set) in zip(
+            seen[::3], seen[1::3], seen[2::3], expected
+        ):
+            assert (train_x, train_y) == train_set
+            assert (test_x, test_y) == test_set
+            oov += sum(row.count(OOV_INDEX) for row in test_x)
+        # Test images carry words the train split never saw.
+        assert oov > 0
+
+    @pytest.mark.parametrize("n_seeds", [1, 3])
+    def test_each_caption_masked_once_per_report(self, mixed_pair, monkeypatch,
+                                                 n_seeds):
+        human, generated = mixed_pair
+        calls = []
+        mask = Masker.mask
+
+        def counted(self, tokens):
+            calls.append(tokens)
+            return mask(self, tokens)
+
+        monkeypatch.setattr(Masker, "mask", counted)
+        run_protocol(human, generated, self._config(n_seeds), master_seed=2)
+        assert len(calls) == len(human) + len(generated)

@@ -77,3 +77,18 @@ class TestAlign:
         allowed = {"a", "b", "c", v_pre.oov_token, v_pre.mask_token, v_pre.pad_token}
         assert set(aligned) <= allowed
         assert align_to_prediction_vocab(aligned, v_pre) == aligned
+
+
+_TOKENS = st.sampled_from(["a", "b", "c", "x", "y", "<gender>", "<oov>", "<pad>"])
+
+
+@given(
+    captions=st.lists(st.lists(_TOKENS, max_size=6), min_size=1, max_size=4),
+    tokens=st.lists(_TOKENS, max_size=12),
+)
+def test_encoding_aligned_tokens_equals_encoding_them(captions, tokens):
+    # The LIC protocol encodes both sides through one lookup built from the
+    # aligned tokens, which is right only if this holds for every token.
+    v_pre = build_vocab(captions, mask_token="<gender>")
+    aligned = align_to_prediction_vocab(tuple(tokens), v_pre)
+    assert v_pre.encode(aligned) == v_pre.encode(tokens)
