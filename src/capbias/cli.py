@@ -10,6 +10,7 @@ report timestamp is the only field allowed to differ between reruns.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -43,7 +44,31 @@ PROTOCOL_METRICS = {"lic", "leakage", "sc"}
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    config = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise CorpusError(f"{path}: expected a JSON object")
+    return config
+
+
+def _config_number(config: dict, args: argparse.Namespace, key: str, kind, default,
+                   name: Optional[str] = None):
+    """`kind` of a numeric setting resolved as by `_resolve`; a value it cannot
+    convert is an input error naming the config file and the key (`name`
+    where `config` is a section of the file)."""
+    value = _resolve(config, args, key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise CorpusError(
+            f"{args.config}: {name or key!r} has a value of the wrong type: {value!r}"
+        ) from None
+
+
+def _config_object(value, args: argparse.Namespace, key: str) -> dict:
+    """A copy of a config section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise CorpusError(f"{args.config}: {key!r} must be a JSON object")
+    return dict(value)
 
 
 def _resolve(config: dict, args: argparse.Namespace, key: str, default=None):
@@ -145,24 +170,46 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if name not in spec_obj:
             raise CorpusError(f"{args.spec}:{lineno}: missing field {name!r}")
 
+    def wrong_type(name, value, expected=""):
+        return CorpusError(
+            f"{args.spec}:{lineno}: field {name!r} has a value of the wrong "
+            f"type: {value!r}{expected}"
+        )
+
     def number(name, kind, default=None):
         value = spec_obj.get(name, default)
         try:
             return kind(value)
         except (TypeError, ValueError):
-            raise CorpusError(
-                f"{args.spec}:{lineno}: field {name!r} has a value of the wrong "
-                f"type: {value!r}"
-            ) from None
+            raise wrong_type(name, value) from None
 
+    def strings(name, value, at_least):
+        if (not isinstance(value, list) or len(value) < at_least
+                or not all(isinstance(item, str) for item in value)):
+            raise wrong_type(
+                name, value, f" (expected a list of strings, at least {at_least})"
+            )
+        return tuple(value)
+
+    values = (
+        strings("values", spec_obj["values"], 2) if "values" in spec_obj
+        else ("female", "male")
+    )
+    marker_words = dict(synth.DEFAULT_MARKERS)
+    if "marker_words" in spec_obj:
+        marker_words = spec_obj["marker_words"]
+        if not isinstance(marker_words, dict):
+            raise wrong_type(
+                "marker_words", marker_words,
+                " (expected an object of value -> list of strings)",
+            )
+        marker_words = {
+            v: strings("marker_words", ws, 1) for v, ws in marker_words.items()
+        }
     common = {
         "n_images": number("n_images", int),
-        "values": tuple(spec_obj.get("values", ("female", "male"))),
-        "marker_words": {
-            v: tuple(ws) for v, ws in spec_obj.get(
-                "marker_words", synth.DEFAULT_MARKERS
-            ).items()
-        },
+        "values": values,
+        "marker_words": marker_words,
         "filler_vocab_size": number("filler_vocab_size", int, 50),
         "caption_length_range": number("caption_length_range", _int_pair, (6, 10)),
     }
@@ -210,13 +257,28 @@ def _require(config: dict, args: argparse.Namespace, key: str, metric: str):
     return value
 
 
+# The JSON type each classifier setting takes: that of its default, where an
+# integer also serves for a float. Values are passed on unconverted, so the
+# config hash in the report is that of the file's values.
+_CLASSIFIER_TYPES = {
+    f.name: (int, float) if isinstance(f.default, float) else type(f.default)
+    for f in dataclasses.fields(ClassifierConfig)
+}
+
+
 def _protocol_config(config: dict, args: argparse.Namespace) -> ProtocolConfig:
-    protocol = dict(config.get("protocol", {}))
-    classifier_cfg = dict(protocol.get("classifier", {}))
-    if args.n_seeds is not None:
-        protocol["n_seeds"] = args.n_seeds
-    if args.test_fraction is not None:
-        protocol["test_fraction"] = args.test_fraction
+    protocol = _config_object(config.get("protocol", {}), args, "protocol")
+    classifier_cfg = _config_object(
+        protocol.get("classifier", {}), args, "protocol.classifier"
+    )
+    for key, value in classifier_cfg.items():
+        if key not in _CLASSIFIER_TYPES:
+            raise CorpusError(f"{args.config}: unknown key 'protocol.classifier.{key}'")
+        if isinstance(value, bool) or not isinstance(value, _CLASSIFIER_TYPES[key]):
+            raise CorpusError(
+                f"{args.config}: 'protocol.classifier.{key}' has a value of the "
+                f"wrong type: {value!r}"
+            )
     if args.encoder is not None:
         classifier_cfg["encoder_kind"] = args.encoder
     if args.epochs is not None:
@@ -224,8 +286,10 @@ def _protocol_config(config: dict, args: argparse.Namespace) -> ProtocolConfig:
     if args.learning_rate is not None:
         classifier_cfg["learning_rate"] = args.learning_rate
     return ProtocolConfig(
-        n_seeds=int(protocol.get("n_seeds", 10)),
-        test_fraction=float(protocol.get("test_fraction", 0.1)),
+        n_seeds=_config_number(protocol, args, "n_seeds", int, 10, "protocol.n_seeds"),
+        test_fraction=_config_number(
+            protocol, args, "test_fraction", float, 0.1, "protocol.test_fraction"
+        ),
         classifier=ClassifierConfig(**classifier_cfg),
     )
 
@@ -247,7 +311,7 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
         raise CorpusError(f"unknown metrics: {sorted(unknown)}")
 
     spec = _build_spec(config, args)
-    master_seed = int(_resolve(config, args, "seed", config.get("master_seed", 0)))
+    master_seed = _config_number(config, args, "seed", int, config.get("master_seed", 0))
     annotations_path = _resolve(config, args, "annotations")
     objects_path = _resolve(config, args, "objects")
     if "dba_g" in metrics and objects_path is None:
@@ -308,8 +372,8 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
         else:
             word_set = cooccur.select_task_words(
                 human, mode,
-                top_k=int(_resolve(config, args, "top_k", 1000)),
-                min_per_value=int(_resolve(config, args, "min_per_value", 100)),
+                top_k=_config_number(config, args, "top_k", int, 1000),
+                min_per_value=_config_number(config, args, "min_per_value", int, 100),
             )
         gt_table = cooccur.count_cooccurrence(human, word_set, mode)
         gen_table = cooccur.count_cooccurrence(generated, word_set, mode)

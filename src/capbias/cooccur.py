@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import enum
 import logging
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Optional
 
 import numpy as np
@@ -128,10 +130,7 @@ def select_task_words(
     """
     spec = human_corpus.attribute_spec
     masker = Masker(spec)
-    freq: dict[str, int] = {}
-    for record in human_corpus.records:
-        for token in record.tokens:
-            freq[token] = freq.get(token, 0) + 1
+    freq = Counter(chain.from_iterable(r.tokens for r in human_corpus.records))
 
     candidates = [
         t for t in sorted(freq, key=lambda t: (-freq[t], t))

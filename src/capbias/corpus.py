@@ -30,7 +30,13 @@ class Source(enum.Enum):
     MODEL = "model"
 
 
-_BOUNDARY_PUNCT = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
+_SOURCES = {member.value: member for member in Source}
+
+
+# A word runs from a word character to the last word character of its
+# whitespace-delimited piece ("_" counts as punctuation): the same tokens as
+# stripping [\W_] from both ends of each `str.split()` piece.
+_WORD = re.compile(r"[^\W_](?:\S*[^\W_])?")
 
 
 def tokenize(text: str) -> list[str]:
@@ -40,11 +46,7 @@ def tokenize(text: str) -> list[str]:
     (and other internal characters) are preserved. Raises CorpusError if
     nothing survives.
     """
-    tokens = []
-    for piece in text.lower().split():
-        token = _BOUNDARY_PUNCT.sub("", piece)
-        if token:
-            tokens.append(token)
+    tokens = _WORD.findall(text.lower())
     if not tokens:
         raise CorpusError(f"caption is empty after tokenization: {text!r}")
     return tokens
@@ -81,7 +83,7 @@ class AttributeSpec:
         return any(self.word_lists.get(v) for v in self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaptionRecord:
     """One caption: id, image, tokens, origin, and optional attribute label."""
 
@@ -138,15 +140,15 @@ class Corpus:
     def _content_digest(self) -> str:
         import hashlib
 
+        # `json.dumps(..., ensure_ascii=False)` of each record's fields, with
+        # one encoder for all of them; a tuple encodes as a JSON array.
+        encode = json.JSONEncoder(ensure_ascii=False).encode
         digest = hashlib.sha256()
         for record in sorted(self.records, key=lambda r: r.caption_id):
-            digest.update(
-                json.dumps(
-                    [record.caption_id, record.image_id, list(record.tokens),
-                     record.source.value, record.attribute],
-                    ensure_ascii=False,
-                ).encode("utf-8")
-            )
+            digest.update(encode((
+                record.caption_id, record.image_id, record.tokens,
+                record.source.value, record.attribute,
+            )).encode("utf-8"))
         return digest.hexdigest()
 
     @cached_property
@@ -159,6 +161,9 @@ class Corpus:
         return tuple(masker.mention(record.tokens).kind for record in self.records)
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _read_jsonl(path: Path, required: Sequence[str] = ()) -> Iterable[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSON Lines file;
     every object must carry the `required` fields."""
@@ -167,8 +172,12 @@ def _read_jsonl(path: Path, required: Sequence[str] = ()) -> Iterable[tuple[int,
             line = line.strip()
             if not line:
                 continue
+            # `json.loads` of a line with no whitespace at either end, without
+            # its per-call checks and scans for whitespace
             try:
-                obj = json.loads(line)
+                obj, end = _DECODER.raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict):
@@ -247,6 +256,8 @@ def load_corpus(
         objects = load_object_annotations(objects_path)
 
     records: list[CaptionRecord] = []
+    # one string object per distinct token, shared by every caption using it
+    interned: dict[str, str] = {}
     seen_ids: set[str] = set()
     referenced_images: set[str] = set()
     n_rejected = 0
@@ -261,13 +272,13 @@ def load_corpus(
         image_id = str(obj["image_id"])
         referenced_images.add(image_id)
         try:
-            source = Source(obj["source"])
-        except ValueError:
+            source = _SOURCES[obj["source"]]
+        except (KeyError, TypeError):  # TypeError: a JSON list or object
             raise CorpusError(
                 f"{captions_path}:{lineno}: source must be 'human' or 'model'"
             ) from None
         try:
-            tokens = tuple(tokenize(str(obj["caption"])))
+            tokens = tokenize(str(obj["caption"]))
         except CorpusError:
             logger.warning(
                 "%s:%d: rejected caption %r (empty after tokenization)",
@@ -275,15 +286,11 @@ def load_corpus(
             )
             n_rejected += 1
             continue
-        records.append(
-            CaptionRecord(
-                caption_id=caption_id,
-                image_id=image_id,
-                tokens=tokens,
-                source=source,
-                attribute=annotations.get(image_id),
-            )
-        )
+        # positional arguments cost about half of keywords per record
+        records.append(CaptionRecord(
+            caption_id, image_id, tuple(map(interned.setdefault, tokens, tokens)),
+            source, annotations.get(image_id),
+        ))
 
     stray = sorted(set(annotations) - referenced_images)
     if stray:

@@ -92,6 +92,10 @@ class Masker:
             raise CorpusError(
                 f"mask token {spec.mask_token!r} collides with an attribute word"
             )
+        # a `Mention` is immutable, so one per kind serves every caption
+        self._mentions = {
+            kind: Mention(kind) for kind in (*spec.values, MENTION_MIXED, MENTION_NONE)
+        }
 
     def mask(self, tokens: Sequence[str]) -> MaskedCaption:
         masked = []
@@ -110,12 +114,14 @@ class Masker:
         )
 
     def mention(self, tokens: Sequence[str]) -> Mention:
-        present = [v for v, words in self.by_value.items() if words & set(tokens)]
+        present = [
+            v for v, words in self.by_value.items() if not words.isdisjoint(tokens)
+        ]
         if not present:
-            return Mention(MENTION_NONE)
+            return self._mentions[MENTION_NONE]
         if len(present) > 1:
-            return Mention(MENTION_MIXED)
-        return Mention(present[0])
+            return self._mentions[MENTION_MIXED]
+        return self._mentions[present[0]]
 
 
 def load_word_list_file(

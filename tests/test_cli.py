@@ -144,6 +144,12 @@ class TestSynth:
         ("seed", {}),
         ("caption_length_range", 5),
         ("caption_length_range", ["six", "ten"]),
+        ("values", "ab"),
+        ("values", ["female"]),
+        ("values", ["female", 3]),
+        ("marker_words", 5),
+        ("marker_words", {"female": "umbrella", "male": ["skateboard"]}),
+        ("marker_words", {"female": [], "male": ["skateboard"]}),
     ])
     def test_wrong_type_names_file_and_line(self, tmp_path, caplog, field, value):
         fields = {"n_images": 120, "theta_human": 0.6, "theta_generated": 0.9,
@@ -320,6 +326,47 @@ class TestReport:
         )
         assert main(args) == EXIT_OK
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("config,key", [
+        ({"protocol": {"n_seeds": "many"}}, "'protocol.n_seeds'"),
+        ({"protocol": {"test_fraction": [0.1]}}, "'protocol.test_fraction'"),
+        ({"protocol": {"classifier": {"epochs": "x"}}}, "'protocol.classifier.epochs'"),
+        ({"protocol": {"classifier": {"encoder_kind": 3}}},
+         "'protocol.classifier.encoder_kind'"),
+        ({"protocol": {"classifier": {"epoch": 2}}}, "'protocol.classifier.epoch'"),
+        ({"protocol": {"classifier": [2]}}, "'protocol.classifier'"),
+        ({"protocol": 5}, "'protocol'"),
+        ({"seed": "seven"}, "'seed'"),
+    ])
+    def test_wrong_config_value_names_file_and_key(self, synth_dir, tmp_path,
+                                                    caplog, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args = self._report_args(synth_dir, tmp_path / "r.json", "lic",
+                                 extra=["--config", str(path)])
+        assert main(args) == EXIT_VALIDATION
+        assert f"{path}: " in caplog.text and key in caplog.text
+
+    @pytest.mark.parametrize("config,key", [
+        ({"top_k": "lots"}, "'top_k'"),
+        ({"min_per_value": None}, "'min_per_value'"),
+    ])
+    def test_wrong_task_word_setting_names_file_and_key(self, synth_dir, tmp_path,
+                                                       caplog, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args = self._report_args(synth_dir, tmp_path / "r.json", "ba",
+                                 extra=["--config", str(path)])
+        assert main(args) == EXIT_VALIDATION
+        assert f"{path}: {key} has a value of the wrong type" in caplog.text
+
+    def test_config_must_be_an_object(self, synth_dir, tmp_path, caplog):
+        path = tmp_path / "config.json"
+        path.write_text('[{"n_seeds": 2}]')
+        args = self._report_args(synth_dir, tmp_path / "r.json", "ba",
+                                 extra=["--config", str(path)])
+        assert main(args) == EXIT_VALIDATION
+        assert f"{path}: expected a JSON object" in caplog.text
 
     def test_dba_g_without_objects_fails(self, synth_dir, tmp_path):
         args = self._report_args(synth_dir, tmp_path / "r.json", "dba_g")

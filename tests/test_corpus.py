@@ -1,3 +1,8 @@
+import hashlib
+import json
+import re
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +15,21 @@ from capbias.corpus import (
     tokenize,
 )
 from conftest import make_corpus, write_jsonl
+
+# The code points `str.split()` splits on.
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+_BOUNDARY_PUNCT = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
+
+
+def split_strip_tokens(text):
+    """Oracle: each whitespace piece with [\\W_] stripped from both ends."""
+    tokens = []
+    for piece in text.lower().split():
+        token = _BOUNDARY_PUNCT.sub("", piece)
+        if token:
+            tokens.append(token)
+    return tokens
 
 
 class TestTokenize:
@@ -27,6 +47,30 @@ class TestTokenize:
 
     def test_internal_apostrophe_preserved(self):
         assert tokenize("the woman's hat") == ["the", "woman's", "hat"]
+
+    @given(st.text(alphabet=st.one_of(
+        st.characters(),
+        st.sampled_from(WHITESPACE + ["a", "_", "'", "-", "\u0301", "İ", "ß"]),
+    )))
+    def test_matches_split_and_strip(self, text):
+        expected = split_strip_tokens(text)
+        if not expected:
+            with pytest.raises(CorpusError):
+                tokenize(text)
+        else:
+            assert tokenize(text) == expected
+
+    def test_every_whitespace_code_point_separates(self):
+        assert len(WHITESPACE) == 29
+        for space in WHITESPACE:
+            text = f"A{space}_b_{space}{space}c"
+            assert tokenize(text) == split_strip_tokens(text) == ["a", "b", "c"]
+
+    def test_underscore_only_pieces_vanish(self):
+        assert tokenize("a _ __ b_ _c _-_") == ["a", "b", "c"]
+        assert tokenize("snake_case") == ["snake_case"]
+        with pytest.raises(CorpusError):
+            tokenize("_ __ _._")
 
     @given(st.lists(st.text(alphabet="abcdefxyz'", min_size=1), min_size=1))
     def test_idempotent(self, words):
@@ -100,6 +144,33 @@ class TestLoadCorpus:
              {"image_id": "i9", "attribute": "male"}],
         )
         with pytest.raises(CorpusError, match="i9"):
+            load_corpus(cap, ann, plain_spec)
+
+    def test_captions_share_token_objects(self, tmp_path, plain_spec):
+        cap, ann = self._write_inputs(
+            tmp_path,
+            [
+                {"caption_id": "c1", "image_id": "i1", "caption": "A skateboard.", "source": "human"},
+                {"caption_id": "c2", "image_id": "i2", "caption": "one skateboard", "source": "human"},
+            ],
+            [],
+        )
+        first, second = load_corpus(cap, ann, plain_spec).records
+        assert first.tokens[1] == second.tokens[1] == "skateboard"
+        assert first.tokens[1] is second.tokens[1]
+
+    @pytest.mark.parametrize("source", [["human"], None, 1, "robot"])
+    def test_source_must_be_a_known_string(self, tmp_path, plain_spec, source):
+        cap, ann = self._write_inputs(
+            tmp_path,
+            [
+                {"caption_id": "c1", "image_id": "i1", "caption": "a dog", "source": "human"},
+                {"caption_id": "c2", "image_id": "i2", "caption": "a cat", "source": source},
+            ],
+            [],
+        )
+        message = f"{cap}:2: source must be 'human' or 'model'"
+        with pytest.raises(CorpusError, match=re.escape(message)):
             load_corpus(cap, ann, plain_spec)
 
     def test_empty_caption_rejected_with_diagnostic(self, tmp_path, plain_spec, caplog):
@@ -182,6 +253,30 @@ class TestBalancedSplit:
                                           ("c2", "i2", ["y"], "female")])
         with pytest.raises(CorpusError):
             split_records(corpus, 0.5, seed=0)
+
+
+# Field values that JSON escapes or that ensure_ascii=False leaves as they are.
+ESCAPE_CAPTIONS = [
+    ("c2", "imgé", ["café", "über", "日本"], "female"),
+    ("c1", "i1", ['say "hi"', "back\\slash", "tab\there", "bell\x07\x1f"], None),
+    ("c10", "i2", ["İstanbul", "straße", "e\u0301", "\U0001f600"], "male"),
+]
+
+
+def test_content_hash_is_sha256_of_json_records(plain_spec):
+    corpus = make_corpus(plain_spec, ESCAPE_CAPTIONS)
+    digest = hashlib.sha256()
+    for record in sorted(corpus.records, key=lambda r: r.caption_id):
+        digest.update(json.dumps(
+            [record.caption_id, record.image_id, list(record.tokens),
+             record.source.value, record.attribute],
+            ensure_ascii=False,
+        ).encode("utf-8"))
+    assert corpus.content_hash() == digest.hexdigest()
+    # the digest of these records before the hash took one encoder per corpus
+    assert corpus.content_hash() == (
+        "d9066db6f4cc0ad8a28a044e5e18a7499a872ba088e64fa92167482ddbf65549"
+    )
 
 
 def test_content_hash_stable_and_order_independent(plain_spec):
