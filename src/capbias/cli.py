@@ -279,12 +279,19 @@ def _protocol_config(config: dict, args: argparse.Namespace) -> ProtocolConfig:
                 f"{args.config}: 'protocol.classifier.{key}' has a value of the "
                 f"wrong type: {value!r}"
             )
-    if args.encoder is not None:
-        classifier_cfg["encoder_kind"] = args.encoder
-    if args.epochs is not None:
-        classifier_cfg["epochs"] = args.epochs
-    if args.learning_rate is not None:
-        classifier_cfg["learning_rate"] = args.learning_rate
+    source = {key: f"{args.config}: 'protocol.classifier.{key}'" for key in classifier_cfg}
+    for key, flag, value in (("encoder_kind", "--encoder", args.encoder),
+                             ("epochs", "--epochs", args.epochs),
+                             ("learning_rate", "--learning-rate", args.learning_rate)):
+        if value is not None:
+            classifier_cfg[key], source[key] = value, flag
+    # Each setting checked alone, the others at their defaults, so that an
+    # out-of-range one is named as an input error.
+    for key, value in classifier_cfg.items():
+        try:
+            ClassifierConfig(**{key: value})
+        except ClassifierError as exc:
+            raise CorpusError(f"{source[key]}: {exc}") from None
     return ProtocolConfig(
         n_seeds=_config_number(protocol, args, "n_seeds", int, 10, "protocol.n_seeds"),
         test_fraction=_config_number(
@@ -359,39 +366,37 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
                 }
 
     if "ba" in metrics:
-        mode = (
-            cooccur.CountMode.ATTR_WORDS_IN_CAPTION
-            if spec.has_word_lists
-            else cooccur.CountMode.ATTR_ANNOTATION
-        )
+        # a caption's value is the one it names where the spec has word lists
+        values_of = (lambda c: c.mentions) if spec.has_word_lists else cooccur.annotated
         task_words = config.get("task_words")
         if task_words:
-            word_set = cooccur.TaskWordSet(
-                tuple(task_words), cooccur.Provenance.USER_SUPPLIED
+            gt_table = cooccur.count_cooccurrence(
+                human, cooccur.TaskWordSet(tuple(task_words)), values_of(human)
             )
         else:
-            word_set = cooccur.select_task_words(
-                human, mode,
+            gt_table = cooccur.select_task_words(
+                human, values_of(human),
                 top_k=_config_number(config, args, "top_k", int, 1000),
                 min_per_value=_config_number(config, args, "min_per_value", int, 100),
             )
-        gt_table = cooccur.count_cooccurrence(human, word_set, mode)
-        gen_table = cooccur.count_cooccurrence(generated, word_set, mode)
+        gen_table = cooccur.count_cooccurrence(
+            generated, cooccur.TaskWordSet(gt_table.words), values_of(generated)
+        )
         results["ba"] = {
             "value": 100 * cooccur.ba_from_tables(gt_table, gen_table),
             "scale": "x100",
-            "n_task_words": len(word_set.words),
+            "n_task_words": len(gt_table.words),
         }
 
     lexicon = _load_lexicon(_resolve(config, args, "object_lexicon"))
     if "dba_g" in metrics:
         labels = sorted({l for s in human.object_annotations.values() for l in s})
-        word_set = cooccur.TaskWordSet(tuple(labels), cooccur.Provenance.OBJECT_LABELS)
+        word_set = cooccur.TaskWordSet(tuple(labels))
         gt = cooccur.JointDistribution.from_table(cooccur.count_cooccurrence(
-            human, word_set, cooccur.CountMode.ATTR_WORDS_IN_CAPTION
+            human, word_set, human.mentions, objects=True
         ))
         gen = cooccur.JointDistribution.from_table(cooccur.count_cooccurrence(
-            generated, word_set, cooccur.CountMode.ATTR_WORDS_IN_CAPTION
+            generated, word_set, generated.mentions, objects=True
         ))
         results["dba_g"] = {
             "value": 100 * cooccur.dba(
@@ -403,14 +408,12 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
     if "dba_o" in metrics:
         if lexicon is None:
             raise CorpusError("metric 'dba_o' requires the 'object_lexicon' input")
-        word_set = cooccur.TaskWordSet(
-            tuple(sorted(lexicon)), cooccur.Provenance.USER_SUPPLIED
-        )
+        word_set = cooccur.TaskWordSet(tuple(sorted(lexicon)))
         gt = cooccur.JointDistribution.from_table(cooccur.count_cooccurrence(
-            human, word_set, cooccur.CountMode.ATTR_ANNOTATION, synonyms=lexicon
+            human, word_set, cooccur.annotated(human), synonyms=lexicon
         ))
         gen = cooccur.JointDistribution.from_table(cooccur.count_cooccurrence(
-            generated, word_set, cooccur.CountMode.ATTR_ANNOTATION, synonyms=lexicon
+            generated, word_set, cooccur.annotated(generated), synonyms=lexicon
         ))
         results["dba_o"] = {
             "value": 100 * cooccur.dba(

@@ -16,22 +16,9 @@ from typing import Mapping, Optional
 import numpy as np
 
 from capbias.corpus import Corpus, CorpusError
-from capbias.masking import MENTION_MIXED, MENTION_NONE, Masker
+from capbias.masking import Masker
 
 logger = logging.getLogger(__name__)
-
-
-class Provenance(enum.Enum):
-    TOP_K_FILTERED = "top_k_filtered"
-    OBJECT_LABELS = "object_labels"
-    USER_SUPPLIED = "user_supplied"
-
-
-class CountMode(enum.Enum):
-    """How the attribute value of a caption is determined when counting."""
-
-    ATTR_WORDS_IN_CAPTION = "attr_words_in_caption"
-    ATTR_ANNOTATION = "attr_annotation"
 
 
 @dataclass(frozen=True)
@@ -39,7 +26,6 @@ class TaskWordSet:
     """The task words (or object labels) whose attribute skew is measured."""
 
     words: tuple[str, ...]
-    provenance: Provenance
 
     def __post_init__(self) -> None:
         if not self.words:
@@ -116,17 +102,29 @@ class JointDistribution:
         )
 
 
+def annotated(corpus: Corpus) -> np.ndarray:
+    """`corpus.labels`, for counting by annotation: every caption needs one."""
+    missing = np.flatnonzero(corpus.labels < 0)
+    if missing.size:
+        raise CorpusError(
+            f"record {corpus.records[missing[0]].caption_id!r} lacks an attribute "
+            "annotation (required to count by annotation)"
+        )
+    return corpus.labels
+
+
 def select_task_words(
     human_corpus: Corpus,
-    mode: CountMode,
+    values: np.ndarray,
     top_k: int = 1000,
     min_per_value: int = 100,
-) -> TaskWordSet:
+) -> CooccurrenceTable:
     """Frequent caption words that co-occur enough with every attribute value.
 
     Candidates are the top_k most frequent tokens (attribute words excluded);
     a word survives only if it co-occurs at least min_per_value times with
-    each attribute value in the ground-truth captions, counted in `mode`.
+    each attribute value in the ground-truth captions, whose values are
+    `values` as in `count_cooccurrence`. Returns the kept words' counts.
     """
     spec = human_corpus.attribute_spec
     masker = Masker(spec)
@@ -139,9 +137,7 @@ def select_task_words(
     if not candidates:
         raise CorpusError("no task-word candidates; corpus may be too small")
 
-    table = count_cooccurrence(
-        human_corpus, TaskWordSet(tuple(candidates), Provenance.USER_SUPPLIED), mode
-    )
+    table = count_cooccurrence(human_corpus, TaskWordSet(tuple(candidates)), values)
     keep = (table.counts >= min_per_value).all(axis=0)
     words = tuple(w for w, k in zip(candidates, keep) if k)
     if not words:
@@ -149,67 +145,57 @@ def select_task_words(
             f"no task words co-occur >= {min_per_value} times with every "
             "attribute value; lower min_per_value or top_k filters"
         )
-    return TaskWordSet(words=words, provenance=Provenance.TOP_K_FILTERED)
+    return CooccurrenceTable(
+        values=table.values, words=words, counts=table.counts[:, keep]
+    )
 
 
 def count_cooccurrence(
     corpus: Corpus,
     task_words: TaskWordSet,
-    mode: CountMode,
+    values: np.ndarray,
     synonyms: Optional[Mapping[str, frozenset[str]]] = None,
+    objects: bool = False,
 ) -> CooccurrenceTable:
     """Count captions where a task word appears and an attribute value holds.
 
-    A caption contributes at most once per (value, word) cell. In word-based
-    mode, captions mentioning zero or multiple attribute values contribute
-    nothing. For object-label word sets, presence is read from the image's
-    object annotations instead of the caption tokens. A synonyms lexicon
-    (label -> surface forms) makes a label count as present when any of its
-    surface forms, or the label itself, appears in the caption.
+    `values` holds each caption's attribute value as an index into the
+    spec's values (`corpus.mentions`, or `annotated(corpus)`); captions at
+    -1 contribute nothing. A caption contributes at most once per (value,
+    word) cell. With `objects`, presence is read from the image's object
+    annotations instead of the caption tokens. A synonyms lexicon (label ->
+    surface forms) makes a label count as present when any of its surface
+    forms, or the label itself, appears in the caption.
     """
     spec = corpus.attribute_spec
     n_words = len(task_words.words)
-    value_index = {v: i for i, v in enumerate(spec.values)}
     # surface form -> the columns it marks present; a label is its own form
     columns: dict[str, list[int]] = {}
     lexicon = synonyms or {}
     for j, word in enumerate(task_words.words):
         for form in lexicon.get(word, frozenset()) | {word}:
             columns.setdefault(form, []).append(j)
-
-    use_objects = task_words.provenance is Provenance.OBJECT_LABELS
-    if use_objects and corpus.object_annotations is None:
+    if objects and corpus.object_annotations is None:
         raise CorpusError("object-label counting requires object annotations")
-    by_annotation = mode is CountMode.ATTR_ANNOTATION
-    kinds = None if by_annotation else corpus.mention_kinds
 
-    cells: list[int] = []  # value row * n_words + column, once per caption
-    for i, record in enumerate(corpus.records):
-        if by_annotation:
-            value = record.attribute
-            if value is None:
-                raise CorpusError(
-                    f"record {record.caption_id!r} lacks an attribute annotation "
-                    "(required in annotation counting mode)"
-                )
-        else:
-            value = kinds[i]
-            if value in (MENTION_MIXED, MENTION_NONE):
+    # value row * n_words + column, once per caption and present column
+    def cells():
+        for record, value in zip(corpus.records, values.tolist()):
+            if value < 0:
                 continue
-        if use_objects:
-            seen = corpus.object_annotations.get(record.image_id)
-            if seen is None:
-                raise CorpusError(
-                    f"image {record.image_id!r} has no object annotation"
-                )
-        else:
-            seen = record.tokens
-        present = {j for form in seen for j in columns.get(form, ())}
-        row = value_index[value] * n_words
-        cells.extend(row + j for j in present)
+            if objects:
+                seen = corpus.object_annotations.get(record.image_id)
+                if seen is None:
+                    raise CorpusError(
+                        f"image {record.image_id!r} has no object annotation"
+                    )
+            else:
+                seen = record.tokens
+            row = value * n_words
+            yield from {row + j for form in seen for j in columns.get(form, ())}
 
     counts = np.bincount(
-        np.asarray(cells, dtype=np.intp), minlength=len(spec.values) * n_words
+        np.fromiter(cells(), dtype=np.intp), minlength=len(spec.values) * n_words
     ).reshape(len(spec.values), n_words)
     return CooccurrenceTable(values=spec.values, words=task_words.words, counts=counts)
 
@@ -284,17 +270,16 @@ def ratio(corpus: Corpus) -> float:
     mentioning only the first (male/female for the default gender spec).
     """
     spec = corpus.attribute_spec
-    listed = [v for v in spec.values if spec.word_lists.get(v)]
+    listed = [i for i, v in enumerate(spec.values) if spec.word_lists.get(v)]
     if len(listed) != 2:
         raise CorpusError("ratio requires exactly 2 attribute values with word lists")
     first, second = listed
-    tally = {first: 0, second: 0}
-    for kind in corpus.mention_kinds:
-        if kind in tally:
-            tally[kind] += 1
-    if tally[first] == 0:
-        raise CorpusError(f"no caption mentions only {first!r}; ratio undefined")
-    return tally[second] / tally[first]
+    n_first = int((corpus.mentions == first).sum())
+    if n_first == 0:
+        raise CorpusError(
+            f"no caption mentions only {spec.values[first]!r}; ratio undefined"
+        )
+    return int((corpus.mentions == second).sum()) / n_first
 
 
 def error_rate(corpus: Corpus) -> float:
@@ -302,14 +287,9 @@ def error_rate(corpus: Corpus) -> float:
 
     Captions that mention no value or more than one are excluded.
     """
-    n_total = 0
-    n_wrong = 0
-    for record, kind in zip(corpus.records, corpus.mention_kinds):
-        if record.attribute is None or kind in (MENTION_NONE, MENTION_MIXED):
-            continue
-        n_total += 1
-        if kind != record.attribute:
-            n_wrong += 1
+    mentions, labels = corpus.mentions, corpus.labels
+    counted = (mentions >= 0) & (labels >= 0)
+    n_total = int(counted.sum())
     if n_total == 0:
         raise CorpusError("no caption mentions an attribute value; error undefined")
-    return n_wrong / n_total
+    return int((mentions != labels)[counted].sum()) / n_total

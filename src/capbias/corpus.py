@@ -134,7 +134,7 @@ class Corpus:
     def content_hash(self) -> str:
         return self._content_digest
 
-    # Records are immutable, so both of these are computed at most once per
+    # Records are immutable, so each of these is computed at most once per
     # corpus and kept on the instance, which drops them with the corpus.
     @cached_property
     def _content_digest(self) -> str:
@@ -152,13 +152,30 @@ class Corpus:
         return digest.hexdigest()
 
     @cached_property
-    def mention_kinds(self) -> tuple[str, ...]:
-        """Each record's explicit attribute mention, as `Mention.kind`: the
-        one value it names, `MENTION_MIXED`, or `MENTION_NONE`."""
-        from capbias.masking import Masker  # masking imports this module
+    def mentions(self) -> np.ndarray:
+        """Each record's explicitly mentioned attribute value, as an index into
+        `attribute_spec.values`; -1 where it names none or more than one."""
+        # masking imports this module
+        from capbias.masking import MENTION_MIXED, MENTION_NONE, Masker
 
         masker = Masker(self.attribute_spec)
-        return tuple(masker.mention(record.tokens).kind for record in self.records)
+        index = {v: i for i, v in enumerate(self.attribute_spec.values)}
+        index.update(dict.fromkeys((MENTION_MIXED, MENTION_NONE), -1))
+        return np.fromiter(
+            (index[masker.mention(record.tokens).kind] for record in self.records),
+            dtype=np.int64, count=len(self.records),
+        )
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Each record's annotated attribute value, as an index into
+        `attribute_spec.values`; -1 where it has none."""
+        index = {v: i for i, v in enumerate(self.attribute_spec.values)}
+        index[None] = -1
+        return np.fromiter(
+            (index[record.attribute] for record in self.records),
+            dtype=np.int64, count=len(self.records),
+        )
 
 
 _DECODER = json.JSONDecoder()

@@ -130,7 +130,6 @@ def _encode_corpus(
     """Mask every caption once and intern its tokens and image; new tokens
     and images get the next id in `token_ids` / `image_ids`. Returns the
     masked captions and their encoding."""
-    value_index = {v: i for i, v in enumerate(corpus.attribute_spec.values)}
     masked = [masker.mask(record.tokens).tokens for record in corpus.records]
     for token in dict.fromkeys(itertools.chain.from_iterable(masked)):
         token_ids.setdefault(token, len(token_ids))
@@ -147,11 +146,7 @@ def _encode_corpus(
         [image_ids.setdefault(r.image_id, len(image_ids)) for r in corpus.records],
         dtype=np.int64,
     )
-    labels = np.array(
-        [-1 if r.attribute is None else value_index[r.attribute] for r in corpus.records],
-        dtype=np.int64,
-    )
-    return masked, _Encoded(ids, images, labels)
+    return masked, _Encoded(ids, images, corpus.labels)
 
 
 def run_protocol(

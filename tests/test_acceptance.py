@@ -16,10 +16,9 @@ import pytest
 from capbias.classifier import ClassifierConfig, init_classifier, gradient_check
 from capbias.cli import EXIT_OK, main
 from capbias.cooccur import (
-    CountMode,
     JointDistribution,
-    Provenance,
     TaskWordSet,
+    annotated,
     ba_from_tables,
     count_cooccurrence,
     dba,
@@ -104,18 +103,18 @@ def test_criterion_04_ba_oracle(capsys):
     h_spec = SynthSpec(n_images=10000, marker_probability=0.7, seed=11)
     g_spec = SynthSpec(n_images=10000, marker_probability=0.85, seed=22)
     human, generated = generate_pair(h_spec, g_spec)
-    words = TaskWordSet(marker_task_words(h_spec), Provenance.USER_SUPPLIED)
-    gt = count_cooccurrence(human, words, CountMode.ATTR_ANNOTATION)
-    gen = count_cooccurrence(generated, words, CountMode.ATTR_ANNOTATION)
+    words = TaskWordSet(marker_task_words(h_spec))
+    gt = count_cooccurrence(human, words, annotated(human))
+    gen = count_cooccurrence(generated, words, annotated(generated))
     measured = ba_from_tables(gt, gen)
     expected = expected_ba(h_spec, g_spec)
     assert measured == pytest.approx(expected, abs=0.02)
 
     # exhaustive enumeration on a tiny hand corpus
     h_small, g_small = synth_pair(0.6, 0.9, n_images=20)
-    small_words = TaskWordSet(marker_task_words(h_spec), Provenance.USER_SUPPLIED)
-    gt_s = count_cooccurrence(h_small, small_words, CountMode.ATTR_ANNOTATION)
-    gen_s = count_cooccurrence(g_small, small_words, CountMode.ATTR_ANNOTATION)
+    small_words = TaskWordSet(marker_task_words(h_spec))
+    gt_s = count_cooccurrence(h_small, small_words, annotated(h_small))
+    gen_s = count_cooccurrence(g_small, small_words, annotated(g_small))
 
     def brute(corpus):
         counts = {}

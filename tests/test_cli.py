@@ -337,6 +337,9 @@ class TestReport:
         ({"protocol": {"classifier": [2]}}, "'protocol.classifier'"),
         ({"protocol": 5}, "'protocol'"),
         ({"seed": "seven"}, "'seed'"),
+        ({"protocol": {"classifier": {"epochs": 0}}}, "'protocol.classifier.epochs'"),
+        ({"protocol": {"classifier": {"encoder_kind": "lstm"}}},
+         "'protocol.classifier.encoder_kind'"),
     ])
     def test_wrong_config_value_names_file_and_key(self, synth_dir, tmp_path,
                                                     caplog, config, key):
@@ -346,6 +349,13 @@ class TestReport:
                                  extra=["--config", str(path)])
         assert main(args) == EXIT_VALIDATION
         assert f"{path}: " in caplog.text and key in caplog.text
+
+    def test_out_of_range_classifier_flag_names_the_flag(self, synth_dir, tmp_path,
+                                                         caplog):
+        args = self._report_args(synth_dir, tmp_path / "r.json", "lic",
+                                 extra=["--epochs", "0"])
+        assert main(args) == EXIT_VALIDATION
+        assert "--epochs: epochs and batch_size must be positive" in caplog.text
 
     @pytest.mark.parametrize("config,key", [
         ({"top_k": "lots"}, "'top_k'"),

@@ -2,17 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capbias.cooccur import (
     CooccurrenceTable,
-    CountMode,
     DbaDirection,
     JointDistribution,
-    Provenance,
     TaskWordSet,
     ba,
+    annotated,
     ba_from_tables,
     count_cooccurrence,
     dba,
@@ -36,29 +35,29 @@ class TestCountCooccurrence:
         corpus = make_corpus(plain_spec, [
             ("c1", "i1", ["a", "woman", "with", "a", "pizza"], "female"),
         ])
-        words = TaskWordSet(("pizza",), Provenance.USER_SUPPLIED)
-        out = count_cooccurrence(corpus, words, CountMode.ATTR_WORDS_IN_CAPTION)
+        words = TaskWordSet(("pizza",))
+        out = count_cooccurrence(corpus, words, corpus.mentions)
         assert out.counts.tolist() == [[1], [0]]
 
     def test_empty_corpus(self, plain_spec):
         corpus = make_corpus(plain_spec, [("c1", "i1", ["just", "filler"], None)])
-        words = TaskWordSet(("pizza",), Provenance.USER_SUPPLIED)
-        out = count_cooccurrence(corpus, words, CountMode.ATTR_WORDS_IN_CAPTION)
+        words = TaskWordSet(("pizza",))
+        out = count_cooccurrence(corpus, words, corpus.mentions)
         assert out.counts.sum() == 0
 
     def test_mixed_mention_contributes_nothing(self, plain_spec):
         corpus = make_corpus(plain_spec, [
             ("c1", "i1", ["man", "woman", "pizza"], "female"),
         ])
-        words = TaskWordSet(("pizza",), Provenance.USER_SUPPLIED)
-        out = count_cooccurrence(corpus, words, CountMode.ATTR_WORDS_IN_CAPTION)
+        words = TaskWordSet(("pizza",))
+        out = count_cooccurrence(corpus, words, corpus.mentions)
         assert out.counts.sum() == 0
 
     def test_annotation_mode_requires_labels(self, plain_spec):
         corpus = make_corpus(plain_spec, [("c1", "i1", ["pizza"], None)])
-        words = TaskWordSet(("pizza",), Provenance.USER_SUPPLIED)
+        words = TaskWordSet(("pizza",))
         with pytest.raises(CorpusError, match="annotation"):
-            count_cooccurrence(corpus, words, CountMode.ATTR_ANNOTATION)
+            count_cooccurrence(corpus, words, annotated(corpus))
 
     def test_hand_corpus_matches_brute_force(self, plain_spec):
         captions = [
@@ -68,8 +67,8 @@ class TestCountCooccurrence:
             ("c4", "i4", ["women", "near", "a", "horse"], "female"),
         ]
         corpus = make_corpus(plain_spec, captions)
-        words = TaskWordSet(("pizza", "horse"), Provenance.USER_SUPPLIED)
-        out = count_cooccurrence(corpus, words, CountMode.ATTR_WORDS_IN_CAPTION)
+        words = TaskWordSet(("pizza", "horse"))
+        out = count_cooccurrence(corpus, words, corpus.mentions)
 
         # independent enumeration over every (caption, value, word) event
         expected = np.zeros((2, 2), dtype=int)
@@ -89,14 +88,11 @@ class TestCountCooccurrence:
             ("c2", "i2", ["man", "horse"], "male"),
             ("c3", "i3", ["woman", "horse"], "female"),
         ]
-        words = TaskWordSet(("pizza", "horse"), Provenance.USER_SUPPLIED)
-        a = count_cooccurrence(
-            make_corpus(plain_spec, captions), words, CountMode.ATTR_WORDS_IN_CAPTION
-        )
-        b = count_cooccurrence(
-            make_corpus(plain_spec, list(reversed(captions))), words,
-            CountMode.ATTR_WORDS_IN_CAPTION,
-        )
+        words = TaskWordSet(("pizza", "horse"))
+        forward = make_corpus(plain_spec, captions)
+        backward = make_corpus(plain_spec, list(reversed(captions)))
+        a = count_cooccurrence(forward, words, forward.mentions)
+        b = count_cooccurrence(backward, words, backward.mentions)
         assert a.counts.tolist() == b.counts.tolist()
 
 
@@ -111,7 +107,7 @@ class TestSelectTaskWords:
             for _ in range(n_m):
                 captions.append((f"c{k}", f"i{k}", ["man", word], "male")); k += 1
         corpus = make_corpus(plain_spec, captions)
-        out = select_task_words(corpus, CountMode.ATTR_WORDS_IN_CAPTION, top_k=10, min_per_value=2)
+        out = select_task_words(corpus, corpus.mentions, top_k=10, min_per_value=2)
         assert "pizza" in out.words
         assert "dress" not in out.words
         assert "woman" not in out.words  # attribute words excluded
@@ -121,7 +117,7 @@ class TestSelectTaskWords:
             ("c1", "i1", ["woman", "pizza"], "female"),
             ("c2", "i2", ["man", "pizza"], "male"),
         ])
-        out = select_task_words(corpus, CountMode.ATTR_WORDS_IN_CAPTION, top_k=1, min_per_value=1)
+        out = select_task_words(corpus, corpus.mentions, top_k=1, min_per_value=1)
         assert out.words == ("pizza",)
 
     def test_empty_result_suggests_relaxation(self, plain_spec):
@@ -130,7 +126,7 @@ class TestSelectTaskWords:
             ("c2", "i2", ["man", "horse"], "male"),
         ])
         with pytest.raises(CorpusError, match="min_per_value"):
-            select_task_words(corpus, CountMode.ATTR_WORDS_IN_CAPTION, top_k=5, min_per_value=3)
+            select_task_words(corpus, corpus.mentions, top_k=5, min_per_value=3)
 
 
 class TestBiasOf:
@@ -209,9 +205,9 @@ class TestBa:
                 captions.append((f"c{i}", f"i{i}", tokens, None))
             return make_corpus(plain_spec, captions)
         human, generated = random_corpus(1), random_corpus(2)
-        word_set = TaskWordSet(words, Provenance.USER_SUPPLIED)
-        gt = count_cooccurrence(human, word_set, CountMode.ATTR_WORDS_IN_CAPTION)
-        gen = count_cooccurrence(generated, word_set, CountMode.ATTR_WORDS_IN_CAPTION)
+        word_set = TaskWordSet(words)
+        gt = count_cooccurrence(human, word_set, human.mentions)
+        gen = count_cooccurrence(generated, word_set, generated.mentions)
         measured = ba_from_tables(gt, gen)
 
         # brute force: plain python loops over all co-occurrence events
@@ -418,10 +414,16 @@ def _only_value(tokens):
     return hits[0] if len(hits) == 1 else None
 
 
-def _brute_counts(corpus, words, mode, forms=None, objects=False):
+# The two readings of a caption's attribute value: the one value it names, or
+# its image's annotation.
+VALUES = {"mentions": lambda corpus: corpus.mentions, "annotation": annotated}
+values_st = st.sampled_from(sorted(VALUES))
+
+
+def _brute_counts(corpus, words, kind, forms=None, objects=False):
     counts = [[0] * len(words) for _ in corpus.attribute_spec.values]
     for record in corpus.records:
-        if mode is CountMode.ATTR_ANNOTATION:
+        if kind == "annotation":
             value = record.attribute
         else:
             value = _only_value(record.tokens)
@@ -441,43 +443,39 @@ def _brute_counts(corpus, words, mode, forms=None, objects=False):
 
 class TestCountOracle:
     @settings(max_examples=150, deadline=None)
-    @given(rows=records_st, words=words_st,
-           mode=st.sampled_from(list(CountMode)))
-    def test_token_words(self, rows, words, mode):
+    @given(rows=records_st, words=words_st, kind=values_st)
+    def test_token_words(self, rows, words, kind):
         corpus = _corpus_with_objects(SPEC, rows)
-        out = count_cooccurrence(
-            corpus, TaskWordSet(tuple(words), Provenance.USER_SUPPLIED), mode
-        )
-        assert out.counts.tolist() == _brute_counts(corpus, words, mode)
+        out = count_cooccurrence(corpus, TaskWordSet(tuple(words)), VALUES[kind](corpus))
+        assert out.counts.tolist() == _brute_counts(corpus, words, kind)
 
     @settings(max_examples=150, deadline=None)
-    @given(rows=records_st, words=words_st,
-           mode=st.sampled_from(list(CountMode)))
-    def test_object_labels(self, rows, words, mode):
+    @given(rows=records_st, words=words_st, kind=values_st)
+    def test_object_labels(self, rows, words, kind):
         corpus = _corpus_with_objects(SPEC, rows)
         out = count_cooccurrence(
-            corpus, TaskWordSet(tuple(words), Provenance.OBJECT_LABELS), mode
+            corpus, TaskWordSet(tuple(words)), VALUES[kind](corpus), objects=True
         )
         assert out.counts.tolist() == _brute_counts(
-            corpus, words, mode, objects=True
+            corpus, words, kind, objects=True
         )
 
     @settings(max_examples=150, deadline=None)
     @given(
-        rows=records_st, words=words_st, mode=st.sampled_from(list(CountMode)),
+        rows=records_st, words=words_st, kind=values_st,
         extra=st.lists(st.frozensets(st.sampled_from(CONTENT), max_size=3),
                        min_size=4, max_size=4),
     )
-    def test_lexicon(self, rows, words, mode, extra):
+    def test_lexicon(self, rows, words, kind, extra):
         # each label's forms include the label, as the CLI loads a lexicon
         lexicon = {w: forms | {w} for w, forms in zip(words, extra)}
         corpus = _corpus_with_objects(SPEC, rows)
         out = count_cooccurrence(
-            corpus, TaskWordSet(tuple(words), Provenance.USER_SUPPLIED), mode,
+            corpus, TaskWordSet(tuple(words)), VALUES[kind](corpus),
             synonyms=lexicon,
         )
         assert out.counts.tolist() == _brute_counts(
-            corpus, words, mode, forms=lexicon
+            corpus, words, kind, forms=lexicon
         )
 
     def test_lexicon_by_hand(self):
@@ -491,13 +489,13 @@ class TestCountOracle:
             ("c3", "i3", ["man", "puppy", "dog", "puppy"], "male"),  # once
             ("c4", "i4", ["woman", "kitten"], "male"),
         ])
-        words = TaskWordSet(("dog", "cat"), Provenance.USER_SUPPLIED)
+        words = TaskWordSet(("dog", "cat"))
         by_words = count_cooccurrence(
-            corpus, words, CountMode.ATTR_WORDS_IN_CAPTION, synonyms=lexicon
+            corpus, words, corpus.mentions, synonyms=lexicon
         )
         assert by_words.counts.tolist() == [[1, 2], [2, 0]]
         by_annotation = count_cooccurrence(
-            corpus, words, CountMode.ATTR_ANNOTATION, synonyms=lexicon
+            corpus, words, annotated(corpus), synonyms=lexicon
         )
         assert by_annotation.counts.tolist() == [[1, 1], [2, 1]]
 
@@ -507,31 +505,144 @@ class TestCountOracle:
             ("c2", "i2", ["man", "puppy"], "male"),
         ])
         out = count_cooccurrence(
-            corpus, TaskWordSet(("dog",), Provenance.USER_SUPPLIED),
-            CountMode.ATTR_ANNOTATION, synonyms={"dog": frozenset({"puppy"})},
+            corpus, TaskWordSet(("dog",)),
+            annotated(corpus), synonyms={"dog": frozenset({"puppy"})},
         )
         assert out.counts.tolist() == [[1], [1]]
 
     def test_missing_object_annotations(self):
         corpus = make_corpus(SPEC, [("c1", "i1", ["woman", "a"], "female")])
-        labels = TaskWordSet(("a",), Provenance.OBJECT_LABELS)
+        labels = TaskWordSet(("a",))
         with pytest.raises(CorpusError, match="requires object annotations"):
-            count_cooccurrence(corpus, labels, CountMode.ATTR_ANNOTATION)
+            count_cooccurrence(corpus, labels, annotated(corpus), objects=True)
         partial = replace(corpus, object_annotations={"other": frozenset({"a"})})
         with pytest.raises(CorpusError, match="has no object annotation"):
-            count_cooccurrence(partial, labels, CountMode.ATTR_ANNOTATION)
+            count_cooccurrence(partial, labels, annotated(partial), objects=True)
 
     def test_missing_annotation_in_lexicon_mode(self):
         corpus = make_corpus(SPEC, [
             ("c1", "i1", ["woman", "a"], "female"),
             ("c2", "i2", ["man", "a"], None),
         ])
-        words = TaskWordSet(("a",), Provenance.USER_SUPPLIED)
+        words = TaskWordSet(("a",))
         with pytest.raises(CorpusError, match="annotation"):
             count_cooccurrence(
-                corpus, words, CountMode.ATTR_ANNOTATION,
+                corpus, words, annotated(corpus),
                 synonyms={"a": frozenset({"a"})},
             )
+
+
+class TestSelectTaskWordsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=records_st, kind=values_st, top_k=st.integers(1, 6),
+           min_per_value=st.integers(0, 3))
+    def test_table_is_the_count_of_the_kept_words(self, rows, kind, top_k,
+                                                  min_per_value):
+        corpus = _corpus_with_objects(SPEC, rows)
+        values = VALUES[kind](corpus)
+        freq = {}
+        for tokens, _, _ in rows:
+            for token in tokens:
+                freq[token] = freq.get(token, 0) + 1
+        gendered = set().union(*GENDERED.values())
+        candidates = sorted(
+            (t for t in freq if t not in gendered), key=lambda t: (-freq[t], t)
+        )[:top_k]
+        if not candidates:
+            with pytest.raises(CorpusError, match="no task-word candidates"):
+                select_task_words(corpus, values, top_k, min_per_value)
+            return
+        counts = _brute_counts(corpus, candidates, kind)
+        kept = tuple(
+            w for j, w in enumerate(candidates)
+            if all(row[j] >= min_per_value for row in counts)
+        )
+        if not kept:
+            with pytest.raises(CorpusError, match="min_per_value"):
+                select_task_words(corpus, values, top_k, min_per_value)
+            return
+        out = select_task_words(corpus, values, top_k, min_per_value)
+        assert out.words == kept
+        recount = count_cooccurrence(corpus, TaskWordSet(kept), values)
+        assert out.counts.tolist() == recount.counts.tolist()
+
+
+# ---------------------------------------------------------------- invariants
+
+LEXICON = {
+    "a": frozenset({"a", "b"}), "c": frozenset({"c", "d"}), "e": frozenset({"e"}),
+}
+
+
+def _metrics(human, generated, words):
+    """BA, DBA_G, DBA_O, Ratio and Error of a pair, each read as
+    `cli.run_metrics` reads it; None where the pair leaves it undefined."""
+    word_set, labels = TaskWordSet(tuple(words)), TaskWordSet(tuple(sorted(LEXICON)))
+
+    def dist(corpus, word_set, values, **options):
+        return JointDistribution.from_table(
+            count_cooccurrence(corpus, word_set, values, **options)
+        )
+
+    metrics = {
+        "ba": lambda: ba_from_tables(
+            count_cooccurrence(human, word_set, human.mentions),
+            count_cooccurrence(generated, word_set, generated.mentions),
+        ),
+        "dba_g": lambda: dba(
+            dist(human, word_set, human.mentions, objects=True),
+            dist(generated, word_set, generated.mentions, objects=True),
+            DbaDirection.GENDER_GIVEN_OBJECT,
+        ),
+        "dba_o": lambda: dba(
+            dist(human, labels, annotated(human), synonyms=LEXICON),
+            dist(generated, labels, annotated(generated), synonyms=LEXICON),
+            DbaDirection.OBJECT_GIVEN_GENDER,
+        ),
+        "ratio": lambda: ratio(generated),
+        "error": lambda: error_rate(generated),
+    }
+    out = {}
+    for name, metric in metrics.items():
+        try:
+            out[name] = metric()
+        except CorpusError:
+            out[name] = None
+    return out
+
+
+class TestInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=records_st, words=words_st)
+    def test_same_corpus_on_both_sides_is_zero(self, rows, words):
+        corpus = _corpus_with_objects(SPEC, rows)
+        out = _metrics(corpus, corpus, words)
+        for name in ("ba", "dba_g", "dba_o"):
+            assert out[name] in (None, 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(human=records_st, generated=records_st, words=words_st)
+    def test_caption_order_changes_nothing(self, human, generated, words):
+        forward = _metrics(
+            _corpus_with_objects(SPEC, human), _corpus_with_objects(SPEC, generated),
+            words,
+        )
+        backward = _metrics(
+            _corpus_with_objects(SPEC, human[::-1]),
+            _corpus_with_objects(SPEC, generated[::-1]),
+            words,
+        )
+        assert forward == backward
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=records_st)
+    def test_swapping_the_values_inverts_ratio(self, rows):
+        swapped = replace(SPEC, values=SPEC.values[::-1])
+        named = [_only_value(tokens) for tokens, _, _ in rows]
+        assume(named.count("female") and named.count("male"))
+        forward = ratio(_corpus_with_objects(SPEC, rows))
+        backward = ratio(_corpus_with_objects(swapped, rows))
+        assert backward == pytest.approx(1 / forward, rel=1e-15)
 
 
 class TestRatioErrorOracle:

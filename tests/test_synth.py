@@ -1,9 +1,8 @@
 import pytest
 
 from capbias.cooccur import (
-    CountMode,
-    Provenance,
     TaskWordSet,
+    annotated,
     ba_from_tables,
     count_cooccurrence,
 )
@@ -106,9 +105,9 @@ class TestClosedForms:
         h_spec = SynthSpec(n_images=10000, marker_probability=0.7, seed=11)
         g_spec = SynthSpec(n_images=10000, marker_probability=0.85, seed=22)
         human, generated = generate_pair(h_spec, g_spec)
-        words = TaskWordSet(marker_task_words(h_spec), Provenance.USER_SUPPLIED)
-        gt = count_cooccurrence(human, words, CountMode.ATTR_ANNOTATION)
-        gen = count_cooccurrence(generated, words, CountMode.ATTR_ANNOTATION)
+        words = TaskWordSet(marker_task_words(h_spec))
+        gt = count_cooccurrence(human, words, annotated(human))
+        gen = count_cooccurrence(generated, words, annotated(generated))
         measured = ba_from_tables(gt, gen)
         assert measured == pytest.approx(expected_ba(h_spec, g_spec), abs=0.02)
 
