@@ -14,7 +14,7 @@ import itertools
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class ClassifierConfig:
 @dataclass
 class AttributeClassifier:
     config: ClassifierConfig
-    vocabulary: Vocabulary
     n_classes: int
     params: dict[str, np.ndarray]
     training_log: list[float] = field(default_factory=list)
@@ -102,9 +101,7 @@ def init_classifier(
     params["b1"] = np.zeros(h)
     params["W2"] = _uniform(rng, (h, n_classes), h)
     params["b2"] = np.zeros(n_classes)
-    return AttributeClassifier(
-        config=config, vocabulary=vocabulary, n_classes=n_classes, params=params
-    )
+    return AttributeClassifier(config=config, n_classes=n_classes, params=params)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -420,7 +417,6 @@ def train(
     classifier: AttributeClassifier,
     sequences: Packed,
     labels: Sequence[int],
-    config: Optional[ClassifierConfig] = None,
 ) -> AttributeClassifier:
     """Adam on mean cross-entropy for a fixed number of epochs.
 
@@ -428,7 +424,7 @@ def train(
     deterministic given (data order, seed, config). Appends the mean loss
     of each epoch to the training log.
     """
-    config = config or classifier.config
+    config = classifier.config
     if len(sequences) == 0:
         raise ClassifierError("empty training set")
     if len(sequences) != len(labels):

@@ -71,6 +71,25 @@ def _config_object(value, args: argparse.Namespace, key: str) -> dict:
     return dict(value)
 
 
+def _strings(value, where: str, at_least: int = 0) -> tuple[str, ...]:
+    """A JSON list of at least `at_least` strings, as a tuple; any other value
+    is an input error naming `where` (the file and the key)."""
+    if (not isinstance(value, list) or len(value) < at_least
+            or not all(isinstance(item, str) for item in value)):
+        expected = f", at least {at_least}" if at_least else ""
+        raise CorpusError(
+            f"{where} has a value of the wrong type: {value!r} "
+            f"(expected a list of strings{expected})"
+        )
+    return tuple(value)
+
+
+def _config_strings(config: dict, args: argparse.Namespace, key: str) -> tuple[str, ...]:
+    """A config file's list of strings; () where the key is absent or null."""
+    value = config.get(key)
+    return () if value is None else _strings(value, f"{args.config}: {key!r}")
+
+
 def _resolve(config: dict, args: argparse.Namespace, key: str, default=None):
     """Flag value if given, else config file value, else default."""
     flag = getattr(args, key, None)
@@ -82,17 +101,16 @@ def _resolve(config: dict, args: argparse.Namespace, key: str, default=None):
 def _build_spec(config: dict, args: argparse.Namespace) -> AttributeSpec:
     wordlist = _resolve(config, args, "wordlist")
     mask_token = _resolve(config, args, "mask_token", "<gender>")
-    values = config.get("values")
+    values = _config_strings(config, args, "values")
     name = _resolve(config, args, "attribute", "gender")
     if wordlist:
         word_lists, overrides = masking.load_word_list_file(wordlist)
-        values = tuple(values) if values else tuple(word_lists)
         return AttributeSpec(
-            name=name, values=values, mask_token=mask_token,
+            name=name, values=values or tuple(word_lists), mask_token=mask_token,
             word_lists=word_lists, plural_overrides=overrides,
         )
     if values:
-        return AttributeSpec(name=name, values=tuple(values), mask_token=mask_token)
+        return AttributeSpec(name=name, values=values, mask_token=mask_token)
     return masking.default_gender_spec(mask_token)
 
 
@@ -115,10 +133,11 @@ def cmd_mask(args: argparse.Namespace) -> int:
     with open(out_path, "w", encoding="utf-8") as dst:
         for obj, tokens in rows:
             masked = masker.mask(tokens)
-            obj["tokens"] = list(masked.tokens)
-            obj["caption"] = " ".join(masked.tokens)
-            obj["n_masked"] = masked.n_masked
-            total_masked += masked.n_masked
+            n_masked = sum(t in masker.all_words for t in tokens)
+            obj["tokens"] = list(masked)
+            obj["caption"] = " ".join(masked)
+            obj["n_masked"] = n_masked
+            total_masked += n_masked
             dst.write(json.dumps(obj, ensure_ascii=False) + "\n")
     if not args.quiet:
         print(f"masked {total_masked} tokens -> {out_path}")
@@ -184,12 +203,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             raise wrong_type(name, value) from None
 
     def strings(name, value, at_least):
-        if (not isinstance(value, list) or len(value) < at_least
-                or not all(isinstance(item, str) for item in value)):
-            raise wrong_type(
-                name, value, f" (expected a list of strings, at least {at_least})"
-            )
-        return tuple(value)
+        return _strings(value, f"{args.spec}:{lineno}: field {name!r}", at_least)
 
     values = (
         strings("values", spec_obj["values"], 2) if "values" in spec_obj
@@ -305,7 +319,29 @@ def _load_lexicon(path: Optional[str]) -> Optional[dict[str, frozenset[str]]]:
     if not path:
         return None
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {label: frozenset(forms) for label, forms in raw.items()}
+    if not isinstance(raw, dict):
+        raise CorpusError(f"{path}: expected a JSON object of label -> list of strings")
+    return {
+        label: frozenset(_strings(forms, f"{path}: {label!r}"))
+        for label, forms in raw.items()
+    }
+
+
+def _dba_entry(human, generated, words, values_of, direction, **count) -> dict:
+    """DBA on the x100 scale over `words`, each side's caption values read by
+    `values_of`; `count` goes to `count_cooccurrence`."""
+    word_set = cooccur.TaskWordSet(tuple(words))
+    gt, gen = (
+        cooccur.JointDistribution.from_table(cooccur.count_cooccurrence(
+            corpus, word_set, values_of(corpus), **count
+        ))
+        for corpus in (human, generated)
+    )
+    return {
+        "value": 100 * cooccur.dba(gt, gen, direction),
+        "scale": "x100",
+        "n_objects": len(words),
+    }
 
 
 def run_metrics(config: dict, args: argparse.Namespace) -> dict:
@@ -368,10 +404,10 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
     if "ba" in metrics:
         # a caption's value is the one it names where the spec has word lists
         values_of = (lambda c: c.mentions) if spec.has_word_lists else cooccur.annotated
-        task_words = config.get("task_words")
+        task_words = _config_strings(config, args, "task_words")
         if task_words:
             gt_table = cooccur.count_cooccurrence(
-                human, cooccur.TaskWordSet(tuple(task_words)), values_of(human)
+                human, cooccur.TaskWordSet(task_words), values_of(human)
             )
         else:
             gt_table = cooccur.select_task_words(
@@ -391,37 +427,17 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
     lexicon = _load_lexicon(_resolve(config, args, "object_lexicon"))
     if "dba_g" in metrics:
         labels = sorted({l for s in human.object_annotations.values() for l in s})
-        word_set = cooccur.TaskWordSet(tuple(labels))
-        gt = cooccur.JointDistribution.from_table(cooccur.count_cooccurrence(
-            human, word_set, human.mentions, objects=True
-        ))
-        gen = cooccur.JointDistribution.from_table(cooccur.count_cooccurrence(
-            generated, word_set, generated.mentions, objects=True
-        ))
-        results["dba_g"] = {
-            "value": 100 * cooccur.dba(
-                gt, gen, cooccur.DbaDirection.GENDER_GIVEN_OBJECT
-            ),
-            "scale": "x100",
-            "n_objects": len(labels),
-        }
+        results["dba_g"] = _dba_entry(
+            human, generated, labels, lambda c: c.mentions,
+            cooccur.DbaDirection.GENDER_GIVEN_OBJECT, objects=True,
+        )
     if "dba_o" in metrics:
         if lexicon is None:
             raise CorpusError("metric 'dba_o' requires the 'object_lexicon' input")
-        word_set = cooccur.TaskWordSet(tuple(sorted(lexicon)))
-        gt = cooccur.JointDistribution.from_table(cooccur.count_cooccurrence(
-            human, word_set, cooccur.annotated(human), synonyms=lexicon
-        ))
-        gen = cooccur.JointDistribution.from_table(cooccur.count_cooccurrence(
-            generated, word_set, cooccur.annotated(generated), synonyms=lexicon
-        ))
-        results["dba_o"] = {
-            "value": 100 * cooccur.dba(
-                gt, gen, cooccur.DbaDirection.OBJECT_GIVEN_GENDER
-            ),
-            "scale": "x100",
-            "n_objects": len(lexicon),
-        }
+        results["dba_o"] = _dba_entry(
+            human, generated, sorted(lexicon), cooccur.annotated,
+            cooccur.DbaDirection.OBJECT_GIVEN_GENDER, synonyms=lexicon,
+        )
 
     if "ratio" in metrics:
         results["ratio"] = {"value": cooccur.ratio(generated), "scale": "none"}

@@ -160,12 +160,12 @@ def count_cooccurrence(
     """Count captions where a task word appears and an attribute value holds.
 
     `values` holds each caption's attribute value as an index into the
-    spec's values (`corpus.mentions`, or `annotated(corpus)`); captions at
-    -1 contribute nothing. A caption contributes at most once per (value,
-    word) cell. With `objects`, presence is read from the image's object
-    annotations instead of the caption tokens. A synonyms lexicon (label ->
-    surface forms) makes a label count as present when any of its surface
-    forms, or the label itself, appears in the caption.
+    spec's values (`corpus.mentions`, or `annotated(corpus)`); captions
+    with a negative value contribute nothing. A caption contributes at most
+    once per (value, word) cell. With `objects`, presence is read from the
+    image's object annotations instead of the caption tokens. A synonyms
+    lexicon (label -> surface forms) makes a label count as present when any
+    of its surface forms, or the label itself, appears in the caption.
     """
     spec = corpus.attribute_spec
     n_words = len(task_words.words)

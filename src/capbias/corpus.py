@@ -154,15 +154,14 @@ class Corpus:
     @cached_property
     def mentions(self) -> np.ndarray:
         """Each record's explicitly mentioned attribute value, as an index into
-        `attribute_spec.values`; -1 where it names none or more than one."""
+        `attribute_spec.values`; -1 where it names none, -2 where it names
+        more than one (`Masker.mention`)."""
         # masking imports this module
-        from capbias.masking import MENTION_MIXED, MENTION_NONE, Masker
+        from capbias.masking import Masker
 
-        masker = Masker(self.attribute_spec)
-        index = {v: i for i, v in enumerate(self.attribute_spec.values)}
-        index.update(dict.fromkeys((MENTION_MIXED, MENTION_NONE), -1))
+        mention = Masker(self.attribute_spec).mention
         return np.fromiter(
-            (index[masker.mention(record.tokens).kind] for record in self.records),
+            (mention(record.tokens) for record in self.records),
             dtype=np.int64, count=len(self.records),
         )
 

@@ -130,7 +130,7 @@ def _encode_corpus(
     """Mask every caption once and intern its tokens and image; new tokens
     and images get the next id in `token_ids` / `image_ids`. Returns the
     masked captions and their encoding."""
-    masked = [masker.mask(record.tokens).tokens for record in corpus.records]
+    masked = [masker.mask(record.tokens) for record in corpus.records]
     for token in dict.fromkeys(itertools.chain.from_iterable(masked)):
         token_ids.setdefault(token, len(token_ids))
     # Ids are read straight into the array: a Python list per caption would
@@ -225,7 +225,7 @@ def run_protocol(
             test_x = clf.Packed(mapped, ids.offsets[test_rows], ids.lengths[test_rows])
             test_y = labels[test_rows]
             model = clf.init_classifier(run_config, v_pre, len(spec.values))
-            clf.train(model, train_x, labels[train_rows], run_config)
+            clf.train(model, train_x, labels[train_rows])
             probs = clf.predict_proba(model, test_x)
             sides[which] = (lic_component(probs, test_y), sc_accuracy(probs, test_y))
 

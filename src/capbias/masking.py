@@ -8,7 +8,6 @@ explicitly. Matching is whole-token exact match, never substring.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -17,25 +16,10 @@ from capbias.corpus import AttributeSpec, CorpusError
 
 logger = logging.getLogger(__name__)
 
-MENTION_MIXED = "mixed"
-MENTION_NONE = "none"
-
-
-@dataclass(frozen=True)
-class MaskedCaption:
-    tokens: tuple[str, ...]
-    n_masked: int
-
-
-@dataclass(frozen=True)
-class Mention:
-    """Which attribute values a caption mentions explicitly.
-
-    kind is the mentioned value itself when exactly one value's words occur,
-    MENTION_MIXED when two or more do, and MENTION_NONE otherwise.
-    """
-
-    kind: str
+# `Masker.mention` of a caption that names no value, and of one that names
+# more than one; both are negative, so no value index can be either.
+NO_MENTION = -1
+MIXED_MENTION = -2
 
 
 def pluralize(word: str, overrides: Mapping[str, str] | None = None) -> str:
@@ -92,36 +76,30 @@ class Masker:
             raise CorpusError(
                 f"mask token {spec.mask_token!r} collides with an attribute word"
             )
-        # a `Mention` is immutable, so one per kind serves every caption
-        self._mentions = {
-            kind: Mention(kind) for kind in (*spec.values, MENTION_MIXED, MENTION_NONE)
-        }
 
-    def mask(self, tokens: Sequence[str]) -> MaskedCaption:
-        masked = []
-        n_masked = 0
-        for token in tokens:
-            if token in self.all_words:
-                masked.append(self.spec.mask_token)
-                n_masked += 1
-            else:
-                masked.append(token)
-        # A caption with nothing to mask keeps its own tuple (`tuple` of a
-        # tuple is that tuple), so callers that keep masked captions hold no
-        # copies of unchanged ones.
-        return MaskedCaption(
-            tokens=tuple(masked) if n_masked else tuple(tokens), n_masked=n_masked
-        )
+    def mask(self, tokens: Sequence[str]) -> tuple[str, ...]:
+        """The caption with every attribute word replaced by the mask token.
 
-    def mention(self, tokens: Sequence[str]) -> Mention:
-        present = [
-            v for v, words in self.by_value.items() if not words.isdisjoint(tokens)
-        ]
-        if not present:
-            return self._mentions[MENTION_NONE]
-        if len(present) > 1:
-            return self._mentions[MENTION_MIXED]
-        return self._mentions[present[0]]
+        A tuple with nothing to mask is returned as it is (`tuple` of a tuple
+        is that tuple), so callers that keep masked captions hold no copies
+        of unchanged ones."""
+        words = self.all_words
+        if words.isdisjoint(tokens):
+            return tuple(tokens)
+        mask_token = self.spec.mask_token
+        # a list comprehension: `tuple` of a generator raised peak RSS
+        return tuple([mask_token if t in words else t for t in tokens])
+
+    def mention(self, tokens: Sequence[str]) -> int:
+        """The index in `spec.values` of the one value whose words occur in
+        the caption; NO_MENTION if none does, MIXED_MENTION if several do."""
+        found = NO_MENTION
+        for i, words in enumerate(self.by_value.values()):
+            if not words.isdisjoint(tokens):
+                if found != NO_MENTION:
+                    return MIXED_MENTION
+                found = i
+        return found
 
 
 def load_word_list_file(

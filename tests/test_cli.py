@@ -54,6 +54,27 @@ class TestMask:
         assert rows[0]["n_masked"] == 3
         assert rows[1]["tokens"] == ["a", "dog", "in", "a", "park"]
 
+    @pytest.mark.parametrize("caption,config,tokens,n_masked", [
+        ("A girl is playing piano", {},
+         ["a", "<gender>", "is", "playing", "piano"], 1),
+        ("a person walking",
+         {"attribute": "race", "values": ["darker", "lighter"], "mask_token": "<race>"},
+         ["a", "person", "walking"], 0),
+        ("The man and his sons", {},
+         ["the", "<gender>", "and", "<gender>", "<gender>"], 3),
+    ])
+    def test_counts_masked_tokens(self, tmp_path, caption, config, tokens, n_masked):
+        src = write_jsonl(tmp_path / "caps.jsonl", [{"caption_id": "c1", "caption": caption}])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "masked.jsonl"
+        assert main(["mask", "--input", str(src), "--out", str(out),
+                     "--config", str(path), "--quiet"]) == EXIT_OK
+        [row] = read_jsonl(out)
+        assert row["tokens"] == tokens
+        assert row["caption"] == " ".join(tokens)
+        assert row["n_masked"] == n_masked
+
     def test_missing_input(self, tmp_path):
         assert main(["mask", "--input", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o.jsonl"), "--quiet"]) == EXIT_VALIDATION
@@ -360,6 +381,10 @@ class TestReport:
     @pytest.mark.parametrize("config,key", [
         ({"top_k": "lots"}, "'top_k'"),
         ({"min_per_value": None}, "'min_per_value'"),
+        ({"task_words": 5}, "'task_words'"),
+        ({"task_words": "umbrella"}, "'task_words'"),
+        ({"values": 5}, "'values'"),
+        ({"values": "ab"}, "'values'"),
     ])
     def test_wrong_task_word_setting_names_file_and_key(self, synth_dir, tmp_path,
                                                        caplog, config, key):
@@ -369,6 +394,23 @@ class TestReport:
                                  extra=["--config", str(path)])
         assert main(args) == EXIT_VALIDATION
         assert f"{path}: {key} has a value of the wrong type" in caplog.text
+
+    @pytest.mark.parametrize("lexicon,message", [
+        (["umbrella"], "expected a JSON object"),
+        ({"umbrella": 5}, "'umbrella' has a value of the wrong type"),
+        ({"umbrella": "umbrella"}, "'umbrella' has a value of the wrong type"),
+    ])
+    def test_object_lexicon_must_map_labels_to_lists(self, synth_dir, tmp_path,
+                                                    caplog, lexicon, message):
+        path = tmp_path / "lexicon.json"
+        path.write_text(json.dumps(lexicon))
+        args = self._report_args(
+            synth_dir, tmp_path / "r.json", "dba_o",
+            extra=["--config", str(self._task_word_config(tmp_path)),
+                   "--object-lexicon", str(path)],
+        )
+        assert main(args) == EXIT_VALIDATION
+        assert f"{path}: {message}" in caplog.text
 
     def test_config_must_be_an_object(self, synth_dir, tmp_path, caplog):
         path = tmp_path / "config.json"

@@ -348,6 +348,22 @@ class TestRatioError:
         with pytest.raises(CorpusError):
             ratio(make_corpus(plain_spec, captions))
 
+    @pytest.mark.parametrize("values", [("none", "some"), ("female", "mixed")])
+    def test_values_named_like_the_no_or_mixed_case(self, values):
+        # captions naming the first value, the second, nothing, and both
+        spec = AttributeSpec(
+            name="named", values=values, mask_token="<m>",
+            word_lists={values[0]: ("alpha",), values[1]: ("beta",)},
+        )
+        corpus = make_corpus(spec, [
+            ("c0", "i0", ["an", "alpha"], None),
+            ("c1", "i1", ["a", "beta"], None),
+            ("c2", "i2", ["a", "dog"], None),
+            ("c3", "i3", ["alpha", "and", "beta"], None),
+        ])
+        assert corpus.mentions.tolist() == [0, 1, -1, -2]
+        assert ratio(corpus) == 1.0
+
     def test_error_all_agree(self, plain_spec):
         captions = [("c0", "i0", ["a", "man"], "male"), ("c1", "i1", ["a", "woman"], "female")]
         assert error_rate(make_corpus(plain_spec, captions)) == 0.0

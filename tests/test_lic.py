@@ -157,7 +157,7 @@ def oracle_encode(corpus, image_ids, vocabulary, masker, align):
     for record in corpus.records:
         if record.image_id not in image_ids or record.attribute is None:
             continue
-        tokens = masker.mask(record.tokens).tokens
+        tokens = masker.mask(record.tokens)
         if align:
             tokens = align_to_prediction_vocab(tokens, vocabulary)
         sequences.append(vocabulary.encode(tokens))
@@ -178,7 +178,7 @@ def oracle_sets(human, generated, config, master_seed):
             derive_seed(master_seed, 3 * run),
         )
         v_pre = build_vocab(
-            [masker.mask(r.tokens).tokens for r in generated.records
+            [masker.mask(r.tokens) for r in generated.records
              if r.image_id in train_ids],
             mask_token=spec.mask_token,
         )

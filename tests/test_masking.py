@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from capbias.corpus import AttributeSpec, CorpusError
 from capbias.masking import (
-    MENTION_MIXED,
-    MENTION_NONE,
+    MIXED_MENTION,
+    NO_MENTION,
     Masker,
     expand_plurals,
     expanded_word_lists,
@@ -39,28 +39,29 @@ class TestPlurals:
 class TestMaskCaption:
     def test_single_gendered_word(self, gender_spec):
         out = Masker(gender_spec).mask(["a", "girl", "is", "playing", "piano"])
-        assert out.tokens == ("a", "<gender>", "is", "playing", "piano")
-        assert out.n_masked == 1
+        assert out == ("a", "<gender>", "is", "playing", "piano")
 
     def test_empty_word_lists_identity(self):
         race = AttributeSpec(name="race", values=("darker", "lighter"), mask_token="<race>")
         out = Masker(race).mask(["a", "person", "walking"])
-        assert out.tokens == ("a", "person", "walking")
-        assert out.n_masked == 0
+        assert out == ("a", "person", "walking")
 
     def test_plural_and_possessive_words(self, gender_spec):
         out = Masker(gender_spec).mask(["the", "man", "and", "his", "sons"])
-        assert out.tokens == ("the", "<gender>", "and", "<gender>", "<gender>")
-        assert out.n_masked == 3
+        assert out == ("the", "<gender>", "and", "<gender>", "<gender>")
 
     def test_no_substring_matching(self, gender_spec):
         out = Masker(gender_spec).mask(["the", "mandate", "manual"])
-        assert out.tokens == ("the", "mandate", "manual")
+        assert out == ("the", "mandate", "manual")
+
+    def test_unchanged_caption_is_returned_as_it_is(self, gender_spec):
+        tokens = ("a", "dog", "in", "a", "park")
+        assert Masker(gender_spec).mask(tokens) is tokens
 
     def test_idempotent(self, gender_spec):
         masker = Masker(gender_spec)
-        once = masker.mask(["a", "woman", "and", "her", "uncle"]).tokens
-        twice = masker.mask(once).tokens
+        once = masker.mask(["a", "woman", "and", "her", "uncle"])
+        twice = masker.mask(once)
         assert once == twice
 
     @given(st.lists(st.sampled_from(
@@ -68,26 +69,55 @@ class TestMaskCaption:
          "waitresses", "cowboys", "piano", "daughters"]), min_size=1))
     def test_no_word_list_member_survives(self, gender_spec, tokens):
         masker = Masker(gender_spec)
-        masked = masker.mask(tokens).tokens
+        masked = masker.mask(tokens)
         assert not set(masked) & masker.all_words
 
     @given(st.lists(st.sampled_from(
         ["woman", "man", "girl", "boys", "dog", "tree"]), min_size=1))
     def test_masked_caption_has_no_mention(self, gender_spec, tokens):
         masker = Masker(gender_spec)
-        assert masker.mention(masker.mask(tokens).tokens).kind == MENTION_NONE
+        assert masker.mention(masker.mask(tokens)) == NO_MENTION
 
 
 class TestMentionLabel:
     def test_only_female(self, gender_spec):
-        assert Masker(gender_spec).mention(["a", "woman", "cooking"]).kind == "female"
+        tokens = ["a", "woman", "cooking"]
+        assert Masker(gender_spec).mention(tokens) == gender_spec.values.index("female")
 
     def test_mixed(self, gender_spec):
         tokens = ["a", "man", "and", "a", "woman"]
-        assert Masker(gender_spec).mention(tokens).kind == MENTION_MIXED
+        assert Masker(gender_spec).mention(tokens) == MIXED_MENTION
 
     def test_none(self, gender_spec):
-        assert Masker(gender_spec).mention(["a", "dog", "running"]).kind == MENTION_NONE
+        assert Masker(gender_spec).mention(["a", "dog", "running"]) == NO_MENTION
+
+
+THREE_VALUES = AttributeSpec(
+    name="size",
+    values=("small", "medium", "large"),
+    mask_token="<size>",
+    word_lists={"small": ("tiny", "little"), "medium": ("mid",), "large": ("huge", "box")},
+)
+
+
+@given(st.lists(st.sampled_from(
+    ["tiny", "tinies", "little", "mid", "mids", "huge", "box", "boxes",
+     "dog", "tree", "<size>"]), min_size=1))
+def test_mention_and_mask_match_brute_force(tokens):
+    """`mention` and `mask` against a direct reading of the expanded word
+    lists, for every value at once."""
+    tokens = tuple(tokens)
+    masker = Masker(THREE_VALUES)
+    by_value = expanded_word_lists(THREE_VALUES)
+    named = [i for i, value in enumerate(THREE_VALUES.values)
+             if any(t in by_value[value] for t in tokens)]
+    expected = (NO_MENTION if not named else named[0] if len(named) == 1
+                else MIXED_MENTION)
+    assert masker.mention(tokens) == expected
+    attribute_words = set().union(*by_value.values())
+    assert masker.mask(tokens) == tuple(
+        "<size>" if t in attribute_words else t for t in tokens
+    )
 
 
 def test_disjointness_enforced_after_expansion():
