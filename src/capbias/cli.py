@@ -1,5 +1,5 @@
-"""Command-line entry point: masking, vocabulary export, synthetic corpora,
-and the metric report pipeline.
+"""Command-line entry point: masking, synthetic corpora, and the metric
+report pipeline.
 
 Exit codes: 0 success, 2 validation/input failure, 3 numerical failure; any
 other exception is a program error and propagates with its traceback.
@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from capbias import cooccur, lic as lic_mod, masking, synth, vocab as vocab_mod
+from capbias import cooccur, lic as lic_mod, masking, synth
 from capbias.classifier import ClassifierConfig, ClassifierError
 from capbias.corpus import (
     AttributeSpec,
@@ -40,14 +40,65 @@ EXIT_NUMERICAL = 3
 ALL_METRICS = ("lic", "leakage", "sc", "ba", "dba_g", "dba_o", "ratio", "error")
 PROTOCOL_METRICS = {"lic", "leakage", "sc"}
 
+# The keys a config file may hold, the same for `mask` and `report` so that
+# one file serves both; `protocol.classifier` is checked against
+# `ClassifierConfig`.
+_CONFIG_KEYS = frozenset({
+    "attribute", "values", "wordlist", "mask_token", "seed", "metrics", "out",
+    "human_captions", "generated_captions", "annotations", "objects",
+    "object_lexicon", "task_words", "top_k", "min_per_value",
+    "protocol", "protocol.n_seeds", "protocol.test_fraction", "protocol.classifier",
+})
+
+
+def _read_json(path: str) -> tuple[object, int]:
+    """A JSON file's value and the line it starts on; malformed JSON is an
+    input error naming the file and the line."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}:{exc.lineno}: invalid JSON ({exc})") from exc
+    return value, text[:len(text) - len(text.lstrip())].count("\n") + 1
+
 
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    config = json.loads(Path(path).read_text(encoding="utf-8"))
+    config = _read_json(path)[0]
     if not isinstance(config, dict):
         raise CorpusError(f"{path}: expected a JSON object")
+    protocol = config.get("protocol")
+    nested = [f"protocol.{key}" for key in protocol] if isinstance(protocol, dict) else []
+    for key in [*config, *nested]:
+        if key not in _CONFIG_KEYS:
+            raise CorpusError(f"{path}: unknown key {key!r}")
     return config
+
+
+def _wrong_type(where: str, value, expected: str = "") -> CorpusError:
+    """The input error for a value of the wrong type at `where`: the file and
+    the key, or `file:line` and the field."""
+    return CorpusError(f"{where} has a value of the wrong type: {value!r}{expected}")
+
+
+def _number(value, kind, where: str):
+    """`value` converted by `kind`; a value it cannot convert is an input
+    error naming `where`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise _wrong_type(where, value) from None
+
+
+def _strings(value, where: str, at_least: int = 0) -> tuple[str, ...]:
+    """A JSON list of at least `at_least` strings, as a tuple; any other value
+    is an input error naming `where`."""
+    if (not isinstance(value, list) or len(value) < at_least
+            or not all(isinstance(item, str) for item in value)):
+        expected = f", at least {at_least}" if at_least else ""
+        raise _wrong_type(where, value, f" (expected a list of strings{expected})")
+    return tuple(value)
 
 
 def _config_number(config: dict, args: argparse.Namespace, key: str, kind, default,
@@ -55,13 +106,8 @@ def _config_number(config: dict, args: argparse.Namespace, key: str, kind, defau
     """`kind` of a numeric setting resolved as by `_resolve`; a value it cannot
     convert is an input error naming the config file and the key (`name`
     where `config` is a section of the file)."""
-    value = _resolve(config, args, key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise CorpusError(
-            f"{args.config}: {name or key!r} has a value of the wrong type: {value!r}"
-        ) from None
+    return _number(_resolve(config, args, key, default), kind,
+                   f"{args.config}: {name or key!r}")
 
 
 def _config_object(value, args: argparse.Namespace, key: str) -> dict:
@@ -69,19 +115,6 @@ def _config_object(value, args: argparse.Namespace, key: str) -> dict:
     if not isinstance(value, dict):
         raise CorpusError(f"{args.config}: {key!r} must be a JSON object")
     return dict(value)
-
-
-def _strings(value, where: str, at_least: int = 0) -> tuple[str, ...]:
-    """A JSON list of at least `at_least` strings, as a tuple; any other value
-    is an input error naming `where` (the file and the key)."""
-    if (not isinstance(value, list) or len(value) < at_least
-            or not all(isinstance(item, str) for item in value)):
-        expected = f", at least {at_least}" if at_least else ""
-        raise CorpusError(
-            f"{where} has a value of the wrong type: {value!r} "
-            f"(expected a list of strings{expected})"
-        )
-    return tuple(value)
 
 
 def _config_strings(config: dict, args: argparse.Namespace, key: str) -> tuple[str, ...]:
@@ -144,32 +177,6 @@ def cmd_mask(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- vocab
-
-
-def cmd_vocab(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    spec = _build_spec(config, args)
-    token_lists = []
-    for lineno, obj in _read_jsonl(args.input):
-        try:
-            if "tokens" in obj:
-                token_lists.append([str(t) for t in obj["tokens"]])
-            elif "caption" in obj:
-                token_lists.append(tokenize(str(obj["caption"])))
-            else:
-                raise CorpusError("missing field 'caption'")
-        except CorpusError as exc:
-            raise CorpusError(f"{args.input}:{lineno}: {exc}") from exc
-    vocabulary = vocab_mod.build_vocab(
-        token_lists, min_count=args.min_count, mask_token=spec.mask_token
-    )
-    Path(args.out).write_text(vocabulary.to_json(), encoding="utf-8")
-    if not args.quiet:
-        print(f"vocabulary of {len(vocabulary)} tokens -> {args.out}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------- synth
 
 
@@ -179,60 +186,46 @@ def _int_pair(value) -> tuple[int, int]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    text = Path(args.spec).read_text(encoding="utf-8")
-    spec_obj = json.loads(text)
+    spec_obj, lineno = _read_json(args.spec)
     # the spec is one JSON object; errors name the line it starts on
-    lineno = text[:len(text) - len(text.lstrip())].count("\n") + 1
+    at = f"{args.spec}:{lineno}"
     if not isinstance(spec_obj, dict):
-        raise CorpusError(f"{args.spec}:{lineno}: expected a JSON object")
+        raise CorpusError(f"{at}: expected a JSON object")
     for name in ("n_images", "theta_human", "theta_generated"):
         if name not in spec_obj:
-            raise CorpusError(f"{args.spec}:{lineno}: missing field {name!r}")
-
-    def wrong_type(name, value, expected=""):
-        return CorpusError(
-            f"{args.spec}:{lineno}: field {name!r} has a value of the wrong "
-            f"type: {value!r}{expected}"
-        )
-
-    def number(name, kind, default=None):
-        value = spec_obj.get(name, default)
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            raise wrong_type(name, value) from None
-
-    def strings(name, value, at_least):
-        return _strings(value, f"{args.spec}:{lineno}: field {name!r}", at_least)
+            raise CorpusError(f"{at}: missing field {name!r}")
 
     values = (
-        strings("values", spec_obj["values"], 2) if "values" in spec_obj
+        _strings(spec_obj["values"], f"{at}: field 'values'", 2) if "values" in spec_obj
         else ("female", "male")
     )
     marker_words = dict(synth.DEFAULT_MARKERS)
     if "marker_words" in spec_obj:
         marker_words = spec_obj["marker_words"]
+        where = f"{at}: field 'marker_words'"
         if not isinstance(marker_words, dict):
-            raise wrong_type(
-                "marker_words", marker_words,
-                " (expected an object of value -> list of strings)",
+            raise _wrong_type(
+                where, marker_words, " (expected an object of value -> list of strings)"
             )
-        marker_words = {
-            v: strings("marker_words", ws, 1) for v, ws in marker_words.items()
-        }
-    common = {
-        "n_images": number("n_images", int),
-        "values": values,
-        "marker_words": marker_words,
-        "filler_vocab_size": number("filler_vocab_size", int, 50),
-        "caption_length_range": number("caption_length_range", _int_pair, (6, 10)),
+        marker_words = {v: _strings(ws, where, 1) for v, ws in marker_words.items()}
+    numbers = {
+        name: _number(spec_obj.get(name, default), kind, f"{at}: field {name!r}")
+        for name, kind, default in (
+            ("n_images", int, None),
+            ("filler_vocab_size", int, 50),
+            ("caption_length_range", _int_pair, (6, 10)),
+            ("seed", int, args.seed or 0),
+            ("theta_human", float, None),
+            ("theta_generated", float, None),
+        )
     }
-    seed = number("seed", int, args.seed or 0)
-    human_spec = synth.SynthSpec(
-        marker_probability=number("theta_human", float), seed=seed, **common
-    )
+    seed = numbers.pop("seed")
+    theta_human = numbers.pop("theta_human")
+    theta_generated = numbers.pop("theta_generated")
+    common = {**numbers, "values": values, "marker_words": marker_words}
+    human_spec = synth.SynthSpec(marker_probability=theta_human, seed=seed, **common)
     generated_spec = synth.SynthSpec(
-        marker_probability=number("theta_generated", float),
+        marker_probability=theta_generated,
         seed=lic_mod.derive_seed(seed, 1),
         **common,
     )
@@ -318,7 +311,7 @@ def _protocol_config(config: dict, args: argparse.Namespace) -> ProtocolConfig:
 def _load_lexicon(path: Optional[str]) -> Optional[dict[str, frozenset[str]]]:
     if not path:
         return None
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = _read_json(path)[0]
     if not isinstance(raw, dict):
         raise CorpusError(f"{path}: expected a JSON object of label -> list of strings")
     return {
@@ -354,7 +347,7 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
         raise CorpusError(f"unknown metrics: {sorted(unknown)}")
 
     spec = _build_spec(config, args)
-    master_seed = _config_number(config, args, "seed", int, config.get("master_seed", 0))
+    master_seed = _config_number(config, args, "seed", int, 0)
     annotations_path = _resolve(config, args, "annotations")
     objects_path = _resolve(config, args, "objects")
     if "dba_g" in metrics and objects_path is None:
@@ -471,10 +464,8 @@ def _render_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_report(args: argparse.Namespace, preset_metrics: Optional[list[str]] = None) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
-    if preset_metrics is not None and args.metrics is None:
-        config = {**config, "metrics": preset_metrics}
     report = run_metrics(config, args)
     out = _resolve(config, args, "out")
     text = json.dumps(report, indent=2)
@@ -484,8 +475,6 @@ def cmd_report(args: argparse.Namespace, preset_metrics: Optional[list[str]] = N
             print(f"report -> {out}")
     else:
         print(text)
-    if getattr(args, "table", None):
-        Path(args.table).write_text(_render_table(report), encoding="utf-8")
     if not args.quiet:
         sys.stdout.write(_render_table(report))
     return EXIT_OK
@@ -494,69 +483,52 @@ def cmd_report(args: argparse.Namespace, preset_metrics: Optional[list[str]] = N
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", help="output path")
-    parser.add_argument("--quiet", action="store_true")
-    parser.add_argument("--wordlist", help="attribute word-list TSV")
-    parser.add_argument("--mask-token", dest="mask_token")
-    parser.add_argument("--attribute", help="attribute name (default: gender)")
-
-
-def _add_report_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--human-captions", dest="human_captions")
-    parser.add_argument("--generated-captions", dest="generated_captions")
-    parser.add_argument("--annotations")
-    parser.add_argument("--objects")
-    parser.add_argument("--object-lexicon", dest="object_lexicon")
-    parser.add_argument("--metrics", help="comma-separated metric names")
-    parser.add_argument("--n-seeds", dest="n_seeds", type=int)
-    parser.add_argument("--test-fraction", dest="test_fraction", type=float)
-    parser.add_argument("--top-k", dest="top_k", type=int)
-    parser.add_argument("--min-per-value", dest="min_per_value", type=int)
-    parser.add_argument("--encoder", choices=["bag_mean", "birecurrent"])
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float)
-    parser.add_argument("--table", help="also write a plain-text table here")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capbias",
         description="Societal-bias metrics for image-caption corpora",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviated flags: `synth --out` would otherwise read as `--out-dir`.
+    mask = sub.add_parser("mask", allow_abbrev=False,
+                          help="mask attribute words in a captions file")
+    synth_p = sub.add_parser("synth", allow_abbrev=False,
+                             help="generate a synthetic corpus pair with oracle")
+    report = sub.add_parser("report", allow_abbrev=False, help="compute the metric report")
 
-    p = sub.add_parser("mask", help="mask attribute words in a captions file")
-    _add_common(p)
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_mask)
+    for p in (mask, synth_p, report):
+        p.add_argument("--quiet", action="store_true")
+    for p in (mask, report):
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--wordlist", help="attribute word-list TSV")
+        p.add_argument("--mask-token", dest="mask_token")
+        p.add_argument("--attribute", help="attribute name (default: gender)")
+    for p in (synth_p, report):
+        p.add_argument("--seed", type=int, help="master seed")
 
-    p = sub.add_parser("vocab", help="build and export a vocabulary")
-    _add_common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--min-count", dest="min_count", type=int, default=1)
-    p.set_defaults(func=cmd_vocab)
+    mask.add_argument("--input", required=True)
+    mask.add_argument("--out", required=True, help="masked captions JSONL")
+    mask.set_defaults(func=cmd_mask)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus pair with oracle")
-    _add_common(p)
-    p.add_argument("--spec", required=True, help="synthesis spec JSON")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.set_defaults(func=cmd_synth)
+    synth_p.add_argument("--spec", required=True, help="synthesis spec JSON")
+    synth_p.add_argument("--out-dir", dest="out_dir", required=True)
+    synth_p.set_defaults(func=cmd_synth)
 
-    for name, preset in (
-        ("report", None),
-        ("ba", ["ba"]),
-        ("dba", ["dba_g", "dba_o"]),
-        ("ratio-error", ["ratio", "error"]),
-        ("lic", ["lic"]),
-        ("leakage", ["leakage"]),
-    ):
-        p = sub.add_parser(name, help=f"compute {name} metrics")
-        _add_common(p)
-        _add_report_flags(p)
-        p.set_defaults(func=lambda a, preset=preset: cmd_report(a, preset))
+    report.add_argument("--out", help="report JSON path (default: stdout)")
+    report.add_argument("--human-captions", dest="human_captions")
+    report.add_argument("--generated-captions", dest="generated_captions")
+    report.add_argument("--annotations")
+    report.add_argument("--objects")
+    report.add_argument("--object-lexicon", dest="object_lexicon")
+    report.add_argument("--metrics", help="comma-separated metric names")
+    report.add_argument("--n-seeds", dest="n_seeds", type=int)
+    report.add_argument("--test-fraction", dest="test_fraction", type=float)
+    report.add_argument("--top-k", dest="top_k", type=int)
+    report.add_argument("--min-per-value", dest="min_per_value", type=int)
+    report.add_argument("--encoder", choices=["bag_mean", "birecurrent"])
+    report.add_argument("--epochs", type=int)
+    report.add_argument("--learning-rate", dest="learning_rate", type=float)
+    report.set_defaults(func=cmd_report)
     return parser
 
 
@@ -568,7 +540,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except (CorpusError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CorpusError, FileNotFoundError) as exc:
         logger.error("%s", exc)
         return EXIT_VALIDATION
     except (ClassifierError, FloatingPointError) as exc:

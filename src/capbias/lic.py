@@ -114,7 +114,7 @@ def lic(lic_m: float, lic_d: float) -> float:
 
 
 class _Encoded(NamedTuple):
-    """A corpus's captions as report-wide ids, in record order."""
+    """A corpus's captions as report-wide ids, in `caption_id` order."""
 
     ids: clf.Packed  # token ids
     images: np.ndarray  # each caption's image, as its index in the report's image ids
@@ -129,8 +129,17 @@ def _encode_corpus(
 ) -> tuple[list[tuple[str, ...]], _Encoded]:
     """Mask every caption once and intern its tokens and image; new tokens
     and images get the next id in `token_ids` / `image_ids`. Returns the
-    masked captions and their encoding."""
-    masked = [masker.mask(record.tokens) for record in corpus.records]
+    masked captions and their encoding, both in `caption_id` order.
+
+    Training batches follow row order, so taking the records by id makes the
+    numbers independent of the order of the lines of the captions file, as
+    the corpus hash is."""
+    records = corpus.records
+    order = None
+    if any(a.caption_id > b.caption_id for a, b in itertools.pairwise(records)):
+        order = sorted(range(len(records)), key=lambda i: records[i].caption_id)
+        records = [records[i] for i in order]
+    masked = [masker.mask(record.tokens) for record in records]
     for token in dict.fromkeys(itertools.chain.from_iterable(masked)):
         token_ids.setdefault(token, len(token_ids))
     # Ids are read straight into the array: a Python list per caption would
@@ -143,10 +152,11 @@ def _encode_corpus(
     )
     ids = clf.Packed(tokens, np.cumsum(lengths) - lengths, lengths)
     images = np.array(
-        [image_ids.setdefault(r.image_id, len(image_ids)) for r in corpus.records],
+        [image_ids.setdefault(r.image_id, len(image_ids)) for r in records],
         dtype=np.int64,
     )
-    return masked, _Encoded(ids, images, corpus.labels)
+    labels = corpus.labels if order is None else corpus.labels[order]
+    return masked, _Encoded(ids, images, labels)
 
 
 def run_protocol(

@@ -57,10 +57,8 @@ class Vocabulary:
         return json.dumps(self._index, ensure_ascii=False, sort_keys=False)
 
 
-def build_vocab(
-    token_lists: Iterable[Sequence[str]], mask_token: str, min_count: int = 1
-) -> Vocabulary:
-    """Vocabulary of all tokens with frequency >= min_count, plus specials.
+def build_vocab(token_lists: Iterable[Sequence[str]], mask_token: str) -> Vocabulary:
+    """Vocabulary of every token of the captions, plus specials.
 
     Ordering is frequency descending with lexicographic tie-break, so the
     result is deterministic for a given corpus.
@@ -75,7 +73,7 @@ def build_vocab(
 
     specials = {mask_token, OOV_TOKEN, PAD_TOKEN}
     kept = sorted(
-        (t for t, c in counts.items() if c >= min_count and t not in specials),
+        (t for t in counts if t not in specials),
         key=lambda t: (-counts[t], t),
     )
     return Vocabulary(kept, mask_token=mask_token)

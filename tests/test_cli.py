@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +100,18 @@ class TestMask:
         assert f"{src}:2: caption is empty after tokenization" in caplog.text
         assert not out.exists()
 
+    def test_config_keys_are_those_of_report(self, tmp_path, caplog):
+        src = write_jsonl(tmp_path / "caps.jsonl", [{"caption_id": "c1", "caption": "a man"}])
+        path = tmp_path / "config.json"
+        out = tmp_path / "masked.jsonl"
+        args = ["mask", "--input", str(src), "--out", str(out), "--config", str(path),
+                "--quiet"]
+        path.write_text(json.dumps({"task_words": ["dog"], "protocol": {"n_seeds": 2}}))
+        assert main(args) == EXIT_OK
+        path.write_text(json.dumps({"mask_tokn": "<m>"}))
+        assert main(args) == EXIT_VALIDATION
+        assert f"{path}: unknown key 'mask_tokn'" in caplog.text
+
     def test_custom_wordlist(self, tmp_path):
         wordlist = tmp_path / "words.tsv"
         wordlist.write_text("young\tchild\tchildren\nold\telder\n")
@@ -109,35 +124,12 @@ class TestMask:
                      "--quiet"]) == EXIT_OK
         assert read_jsonl(out)[0]["tokens"] == ["two", "<age>", "and", "an", "<age>"]
 
-
-class TestVocab:
-    def test_export(self, tmp_path):
-        src = write_jsonl(tmp_path / "caps.jsonl", [
-            {"caption": "a cat sat"},
-            {"tokens": ["a", "dog"]},
-        ])
-        out = tmp_path / "vocab.json"
-        assert main(["vocab", "--input", str(src), "--out", str(out),
-                     "--quiet"]) == EXIT_OK
-        exported = json.loads(out.read_text())
-        assert exported["<gender>"] == 0
-        assert "cat" in exported
-
-    def test_errors_name_file_and_line(self, tmp_path, caplog):
-        src = tmp_path / "caps.jsonl"
-        src.write_text('{"caption": "a cat"}\n{not json\n{"caption_id": "c3"}\n')
-        out = str(tmp_path / "vocab.json")
-        assert main(["vocab", "--input", str(src), "--out", out,
-                     "--quiet"]) == EXIT_VALIDATION
-        assert f"{src}:2: invalid JSON" in caplog.text
-        src.write_text('{"caption": "a cat"}\n\n{"caption_id": "c3"}\n')
-        assert main(["vocab", "--input", str(src), "--out", out,
-                     "--quiet"]) == EXIT_VALIDATION
-        assert f"{src}:3: missing field 'caption'" in caplog.text
-        src.write_text('{"caption": "a cat"}\n{"caption": "!!!"}\n')
-        assert main(["vocab", "--input", str(src), "--out", out,
-                     "--quiet"]) == EXIT_VALIDATION
-        assert f"{src}:2: caption is empty after tokenization" in caplog.text
+    def test_out_is_required(self, tmp_path, capsys):
+        src = write_jsonl(tmp_path / "caps.jsonl", [{"caption_id": "c1", "caption": "a man"}])
+        with pytest.raises(SystemExit) as exc:
+            main(["mask", "--input", str(src), "--quiet"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--out" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -190,6 +182,79 @@ def test_score_command_is_gone(tmp_path, capsys):
               "--out", str(tmp_path / "scores.jsonl")])
     assert exc.value.code == EXIT_VALIDATION
     assert "invalid choice: 'score'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["vocab", "ba", "dba", "ratio-error", "lic", "leakage"])
+def test_removed_command_is_gone(tmp_path, capsys, command):
+    # `report --metrics` computes what each of these computed
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(tmp_path / "caps.jsonl"),
+              "--out", str(tmp_path / "out.json")])
+    assert exc.value.code == EXIT_VALIDATION
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+def test_commands():
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(commands) == {"mask", "synth", "report"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("synth", ["--config", "config.json"]),
+    ("synth", ["--out", "out.json"]),
+    ("synth", ["--wordlist", "words.tsv"]),
+    ("synth", ["--mask-token", "<m>"]),
+    ("synth", ["--attribute", "age"]),
+    ("mask", ["--seed", "3"]),
+])
+def test_flag_a_command_does_not_read_is_rejected(tmp_path, capsys, command, flag):
+    required = {
+        "synth": ["--spec", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path / "d")],
+        "mask": ["--input", str(tmp_path / "caps.jsonl"), "--out", str(tmp_path / "o.jsonl")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, *flag])
+    assert exc.value.code == EXIT_VALIDATION
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """Each `capbias ...` command of the README's `sh` blocks, its
+    continuation lines joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("capbias ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {shlex.split(c)[1] for c in commands} == {"mask", "synth", "report"}
+    for command in commands:
+        build_parser().parse_args(shlex.split(command)[1:])
+
+
+@pytest.mark.parametrize("flag", ["--config", "--object-lexicon", "--spec"])
+def test_malformed_json_names_file_and_line(synth_dir, tmp_path, caplog, flag):
+    inputs = {"--config": tmp_path / "config.json", "--object-lexicon": tmp_path / "lexicon.json"}
+    inputs["--config"].write_text("{}")
+    inputs["--object-lexicon"].write_text('{"umbrella": ["umbrellas"]}')
+    bad = inputs[flag] = tmp_path / "bad.json"
+    bad.write_text('{"top_k": 5,\n "min_per_value": }\n')
+    if flag == "--spec":
+        args = ["synth", "--spec", str(bad), "--out-dir", str(tmp_path / "corpus")]
+    else:
+        args = [
+            "report", "--metrics", "dba_o",
+            "--human-captions", str(synth_dir / "human_captions.jsonl"),
+            "--generated-captions", str(synth_dir / "generated_captions.jsonl"),
+            "--annotations", str(synth_dir / "annotations.jsonl"),
+            "--config", str(inputs["--config"]),
+            "--object-lexicon", str(inputs["--object-lexicon"]),
+        ]
+    assert main([*args, "--quiet"]) == EXIT_VALIDATION
+    assert f"{bad}:2: invalid JSON (Expecting value: line 2" in caplog.text
 
 
 class TestReport:
@@ -361,6 +426,10 @@ class TestReport:
         ({"protocol": {"classifier": {"epochs": 0}}}, "'protocol.classifier.epochs'"),
         ({"protocol": {"classifier": {"encoder_kind": "lstm"}}},
          "'protocol.classifier.encoder_kind'"),
+        ({"n_seeds": 2}, "unknown key 'n_seeds'"),
+        ({"tpo_k": 10}, "unknown key 'tpo_k'"),
+        ({"master_seed": 7}, "unknown key 'master_seed'"),
+        ({"protocol": {"seeds": 2}}, "unknown key 'protocol.seeds'"),
     ])
     def test_wrong_config_value_names_file_and_key(self, synth_dir, tmp_path,
                                                     caplog, config, key):
@@ -445,11 +514,11 @@ class TestReport:
         assert a == b
         assert set(a["metrics"]) == {"lic", "lic_m", "lic_d"}
 
-    def test_ratio_error_preset(self, synth_dir, tmp_path):
+    def test_ratio_error_undefined_without_mentions(self, synth_dir, tmp_path):
         # synthetic captions never mention attribute words: both undefined
         out = tmp_path / "r.json"
         args = [
-            "ratio-error",
+            "report", "--metrics", "ratio,error",
             "--generated-captions", str(synth_dir / "generated_captions.jsonl"),
             "--annotations", str(synth_dir / "annotations.jsonl"),
             "--config", str(self._task_word_config(tmp_path)),

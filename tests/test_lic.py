@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -142,6 +144,20 @@ class TestRunProtocol:
         with pytest.raises(CorpusError):
             run_protocol(human, generate(other), small_protocol())
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_independent_of_record_order(self, small_pair, side):
+        # Training batches follow row order, so the protocol takes the
+        # records by caption id, as the corpus hash does.
+        pair = list(small_pair)
+        records = list(pair[side].records)
+        random.Random(side).shuffle(records)
+        pair[side] = dataclasses.replace(pair[side], records=tuple(records))
+        a = run_protocol(*small_pair, small_protocol(), master_seed=5)
+        b = run_protocol(*pair, small_protocol(), master_seed=5)
+        for name in a:
+            assert a[name].per_seed == b[name].per_seed
+            assert a[name].provenance == b[name].provenance
+
     def test_single_seed_reports_no_std(self, small_pair):
         human, generated = small_pair
         reports = run_protocol(human, generated, small_protocol(n_seeds=1))
@@ -151,10 +167,11 @@ class TestRunProtocol:
 
 def oracle_encode(corpus, image_ids, vocabulary, masker, align):
     """Per-caption encoding of one split: each caption masked, aligned to the
-    prediction vocabulary when `align` is set, and encoded on its own."""
+    prediction vocabulary when `align` is set, and encoded on its own, in
+    `caption_id` order."""
     value_index = {v: i for i, v in enumerate(corpus.attribute_spec.values)}
     sequences, labels = [], []
-    for record in corpus.records:
+    for record in sorted(corpus.records, key=lambda r: r.caption_id):
         if record.image_id not in image_ids or record.attribute is None:
             continue
         tokens = masker.mask(record.tokens)

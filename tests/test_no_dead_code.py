@@ -20,6 +20,9 @@ PACKAGE = Path(capbias.__file__).parent
 ORACLES = {
     "gradient_check",  # classifier: analytic against central-difference gradients
     "marker_task_words",  # synth: the task words of a closed-form BA
+    # vocab: the benchmark's check that no attribute word reaches a vocabulary
+    # reads every vocabulary the protocol builds through it (perfbench/child.py)
+    "to_json",
 }
 
 

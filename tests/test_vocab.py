@@ -20,17 +20,9 @@ def exported_tokens(vocabulary):
 
 class TestBuildVocab:
     def test_single_caption(self, plain_spec):
-        vocabulary = build_vocab(
-            [["a", "cat"]], mask_token=plain_spec.mask_token, min_count=1
-        )
+        vocabulary = build_vocab([["a", "cat"]], mask_token=plain_spec.mask_token)
         assert exported_tokens(vocabulary) == {"<gender>", "<oov>", "<pad>", "a", "cat"}
         assert vocabulary.encode(["<gender>"]) == [MASK_INDEX]
-
-    def test_min_count_filters(self, plain_spec):
-        vocabulary = build_vocab(
-            [["a", "cat"], ["a", "dog"]], mask_token=plain_spec.mask_token, min_count=2
-        )
-        assert exported_tokens(vocabulary) == {"<gender>", "<oov>", "<pad>", "a"}
 
     def test_empty_corpus_errors(self):
         with pytest.raises(CorpusError):
