@@ -23,6 +23,7 @@ from capbias.classifier import ClassifierConfig, ClassifierError
 from capbias.corpus import (
     AttributeSpec,
     CorpusError,
+    Source,
     _read_jsonl,
     load_annotations,
     load_corpus,
@@ -40,15 +41,38 @@ EXIT_NUMERICAL = 3
 ALL_METRICS = ("lic", "leakage", "sc", "ba", "dba_g", "dba_o", "ratio", "error")
 PROTOCOL_METRICS = {"lic", "leakage", "sc"}
 
-# The keys a config file may hold, the same for `mask` and `report` so that
-# one file serves both; `protocol.classifier` is checked against
-# `ClassifierConfig`.
-_CONFIG_KEYS = frozenset({
-    "attribute", "values", "wordlist", "mask_token", "seed", "metrics", "out",
-    "human_captions", "generated_captions", "annotations", "objects",
-    "object_lexicon", "task_words", "top_k", "min_per_value",
-    "protocol", "protocol.n_seeds", "protocol.test_fraction", "protocol.classifier",
-})
+# The settings of `mask` and `report`, one row per config key: its JSON type,
+# its default and its range, which is the least value or the dataclass that
+# checks the field of that name. A key's last part names the `args`
+# attribute it resolves into, which is also the dest of its flag where the
+# command has one. `protocol.classifier` holds `ClassifierConfig` fields,
+# each checked against that field's type and by `ClassifierConfig`.
+SETTINGS = {
+    "attribute": (str, "gender", None),
+    "values": (list, (), None),
+    "wordlist": (str, None, None),
+    "mask_token": (str, "<gender>", None),
+    "seed": (int, 0, None),
+    "metrics": (list, ALL_METRICS, None),
+    "out": (str, None, None),
+    "human_captions": (str, None, None),
+    "generated_captions": (str, None, None),
+    "annotations": (str, None, None),
+    "objects": (str, None, None),
+    "object_lexicon": (str, None, None),
+    "task_words": (list, (), None),
+    "top_k": (int, 1000, 1),
+    "min_per_value": (int, 100, 0),
+    "protocol": (dict, {}, None),
+    "protocol.n_seeds": (int, 10, ProtocolConfig),
+    "protocol.test_fraction": (float, 0.1, ProtocolConfig),
+    "protocol.classifier": (dict, {}, ClassifierConfig),
+}
+_CLASSIFIER_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(ClassifierConfig)}
+_KNOWN_KEYS = {*SETTINGS, *(f"protocol.classifier.{name}" for name in _CLASSIFIER_FIELDS)}
+# The classifier fields that `report` also takes as flags, by flag dest.
+_CLASSIFIER_FLAGS = {"encoder": "encoder_kind", "epochs": "epochs",
+                     "learning_rate": "learning_rate"}
 
 
 def _read_json(path: str) -> tuple[object, int]:
@@ -62,98 +86,113 @@ def _read_json(path: str) -> tuple[object, int]:
     return value, text[:len(text) - len(text.lstrip())].count("\n") + 1
 
 
-def _load_config_file(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    config = _read_json(path)[0]
-    if not isinstance(config, dict):
-        raise CorpusError(f"{path}: expected a JSON object")
-    protocol = config.get("protocol")
-    nested = [f"protocol.{key}" for key in protocol] if isinstance(protocol, dict) else []
-    for key in [*config, *nested]:
-        if key not in _CONFIG_KEYS:
-            raise CorpusError(f"{path}: unknown key {key!r}")
-    return config
+def _is(value, kind) -> bool:
+    """Whether `value` has the JSON type `kind`. A boolean is never a number,
+    and an integer is also a float."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind
+    )
 
 
-def _wrong_type(where: str, value, expected: str = "") -> CorpusError:
-    """The input error for a value of the wrong type at `where`: the file and
-    the key, or `file:line` and the field."""
-    return CorpusError(f"{where} has a value of the wrong type: {value!r}{expected}")
+def _checked(value, kind, where: str, at_least: Optional[int] = None,
+             at_most: Optional[int] = None, items: type = str):
+    """`value`, which must have the JSON type `kind` (see `_is`); a list must
+    hold `items`, at least `at_least` and at most `at_most` of them, and a
+    number must be at least `at_least`. Any other value is an input error
+    naming `where`: the file and key, the flag, or `file:line` and the field."""
+    wrong = f"{where} has a value of the wrong type: {value!r}"
+    if kind is list:
+        if not (_is(value, list) and all(_is(item, items) for item in value)
+                and (at_least or 0) <= len(value) <= (at_most or len(value))):
+            noun = "integers" if items is int else "strings"
+            size = ("" if not at_least else f", exactly {at_least}" if at_most == at_least
+                    else f", at least {at_least}")
+            raise CorpusError(f"{wrong} (expected a list of {noun}{size})")
+    elif not _is(value, kind):
+        raise CorpusError(wrong)
+    elif at_least is not None and value < at_least:
+        raise CorpusError(
+            f"{where} has a value out of range: {value!r} (expected at least {at_least})"
+        )
+    return value
 
 
-def _number(value, kind, where: str):
-    """`value` converted by `kind`; a value it cannot convert is an input
-    error naming `where`."""
+def _in_range(where: str, cls, **fields):
+    """`cls(**fields)`, so that the dataclass checks `fields` with the other
+    fields at their defaults; a value it rejects is an input error naming
+    `where`."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise _wrong_type(where, value) from None
+        return cls(**fields)
+    except (CorpusError, ClassifierError) as exc:
+        raise CorpusError(f"{where}: {exc}") from None
 
 
-def _strings(value, where: str, at_least: int = 0) -> tuple[str, ...]:
-    """A JSON list of at least `at_least` strings, as a tuple; any other value
-    is an input error naming `where`."""
-    if (not isinstance(value, list) or len(value) < at_least
-            or not all(isinstance(item, str) for item in value)):
-        expected = f", at least {at_least}" if at_least else ""
-        raise _wrong_type(where, value, f" (expected a list of strings{expected})")
-    return tuple(value)
+def _keys(section: dict, prefix: str = ""):
+    """The dotted key of each entry of a config file, nested sections included."""
+    for key, value in section.items():
+        yield prefix + key
+        if isinstance(value, dict) and SETTINGS.get(prefix + key, (None,))[0] is dict:
+            yield from _keys(value, f"{prefix}{key}.")
 
 
-def _config_number(config: dict, args: argparse.Namespace, key: str, kind, default,
-                   name: Optional[str] = None):
-    """`kind` of a numeric setting resolved as by `_resolve`; a value it cannot
-    convert is an input error naming the config file and the key (`name`
-    where `config` is a section of the file)."""
-    return _number(_resolve(config, args, key, default), kind,
-                   f"{args.config}: {name or key!r}")
+def load_settings(args: argparse.Namespace) -> argparse.Namespace:
+    """Set the `args` attribute of every row of `SETTINGS` to its flag's
+    value if given, else to the config file's value, else to the default,
+    before any input file is read. Every value in the file and every flag
+    given is checked, so an unknown key or a wrong value is an input error
+    naming the file and key, or the flag."""
+    path, config = args.config, {}
+    if path is not None:
+        config = _read_json(path)[0]
+        if not isinstance(config, dict):
+            raise CorpusError(f"{path}: expected a JSON object")
+        for key in _keys(config):
+            if key not in _KNOWN_KEYS:
+                raise CorpusError(f"{path}: unknown key {key!r}")
+    for key, (kind, default, check) in SETTINGS.items():
+        section, _, name = key.rpartition(".")
+        in_file = config.get(section, {}) if section else config
+        given = [(in_file[name], f"{path}: {key!r}")] if name in in_file else []
+        if getattr(args, name, None) is not None:
+            given.append((getattr(args, name), "--" + name.replace("_", "-")))
+        value = default
+        for value, where in given:  # the flag, given last, wins
+            _checked(value, kind, where, check if isinstance(check, int) else None)
+            if check is ProtocolConfig:
+                _in_range(where, check, **{name: value})
+        setattr(args, name, value)
+    classifier = dict(args.classifier)
+    given = [(name, value, f"{path}: 'protocol.classifier.{name}'")
+             for name, value in classifier.items()]
+    given += [(name, getattr(args, dest), "--" + dest.replace("_", "-"))
+              for dest, name in _CLASSIFIER_FLAGS.items()
+              if getattr(args, dest, None) is not None]
+    for name, value, where in given:  # the flags, given last, win
+        _checked(value, _CLASSIFIER_FIELDS[name], where)
+        _in_range(where, ClassifierConfig, **{name: value})
+        classifier[name] = value
+    args.classifier = classifier
+    return args
 
 
-def _config_object(value, args: argparse.Namespace, key: str) -> dict:
-    """A copy of a config section, which must be a JSON object."""
-    if not isinstance(value, dict):
-        raise CorpusError(f"{args.config}: {key!r} must be a JSON object")
-    return dict(value)
-
-
-def _config_strings(config: dict, args: argparse.Namespace, key: str) -> tuple[str, ...]:
-    """A config file's list of strings; () where the key is absent or null."""
-    value = config.get(key)
-    return () if value is None else _strings(value, f"{args.config}: {key!r}")
-
-
-def _resolve(config: dict, args: argparse.Namespace, key: str, default=None):
-    """Flag value if given, else config file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return config.get(key, default)
-
-
-def _build_spec(config: dict, args: argparse.Namespace) -> AttributeSpec:
-    wordlist = _resolve(config, args, "wordlist")
-    mask_token = _resolve(config, args, "mask_token", "<gender>")
-    values = _config_strings(config, args, "values")
-    name = _resolve(config, args, "attribute", "gender")
-    if wordlist:
-        word_lists, overrides = masking.load_word_list_file(wordlist)
+def _build_spec(args: argparse.Namespace) -> AttributeSpec:
+    values = tuple(args.values)
+    if args.wordlist:
+        word_lists, overrides = masking.load_word_list_file(args.wordlist)
         return AttributeSpec(
-            name=name, values=values or tuple(word_lists), mask_token=mask_token,
-            word_lists=word_lists, plural_overrides=overrides,
+            name=args.attribute, values=values or tuple(word_lists),
+            mask_token=args.mask_token, word_lists=word_lists, plural_overrides=overrides,
         )
     if values:
-        return AttributeSpec(name=name, values=values, mask_token=mask_token)
-    return masking.default_gender_spec(mask_token)
+        return AttributeSpec(name=args.attribute, values=values, mask_token=args.mask_token)
+    return masking.default_gender_spec(args.mask_token)
 
 
 # ---------------------------------------------------------------- mask
 
 
 def cmd_mask(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    spec = _build_spec(config, args)
-    masker = masking.Masker(spec)
+    masker = masking.Masker(_build_spec(load_settings(args)))
     total_masked = 0
     out_path = Path(args.out)
     # read and tokenize the whole input first, so invalid input writes nothing
@@ -180,11 +219,6 @@ def cmd_mask(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- synth
 
 
-def _int_pair(value) -> tuple[int, int]:
-    lo, hi = value
-    return int(lo), int(hi)
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     spec_obj, lineno = _read_json(args.spec)
     # the spec is one JSON object; errors name the line it starts on
@@ -195,39 +229,38 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if name not in spec_obj:
             raise CorpusError(f"{at}: missing field {name!r}")
 
-    values = (
-        _strings(spec_obj["values"], f"{at}: field 'values'", 2) if "values" in spec_obj
-        else ("female", "male")
-    )
-    marker_words = dict(synth.DEFAULT_MARKERS)
-    if "marker_words" in spec_obj:
-        marker_words = spec_obj["marker_words"]
-        where = f"{at}: field 'marker_words'"
-        if not isinstance(marker_words, dict):
-            raise _wrong_type(
-                where, marker_words, " (expected an object of value -> list of strings)"
-            )
-        marker_words = {v: _strings(ws, where, 1) for v, ws in marker_words.items()}
-    numbers = {
-        name: _number(spec_obj.get(name, default), kind, f"{at}: field {name!r}")
-        for name, kind, default in (
+    # name, JSON type, default, then the least value or length, the most
+    # length and the item type
+    fields = {
+        name: _checked(spec_obj.get(name, default), kind, f"{at}: field {name!r}", *size)
+        for name, kind, default, *size in (
             ("n_images", int, None),
-            ("filler_vocab_size", int, 50),
-            ("caption_length_range", _int_pair, (6, 10)),
-            ("seed", int, args.seed or 0),
+            ("filler_vocab_size", int, 50, 1),
+            ("caption_length_range", list, [6, 10], 2, 2, int),
+            ("values", list, ["female", "male"], 2),
             ("theta_human", float, None),
             ("theta_generated", float, None),
         )
     }
-    seed = numbers.pop("seed")
-    theta_human = numbers.pop("theta_human")
-    theta_generated = numbers.pop("theta_generated")
-    common = {**numbers, "values": values, "marker_words": marker_words}
-    human_spec = synth.SynthSpec(marker_probability=theta_human, seed=seed, **common)
-    generated_spec = synth.SynthSpec(
-        marker_probability=theta_generated,
-        seed=lic_mod.derive_seed(seed, 1),
-        **common,
+    theta = {name: float(fields.pop(name)) for name in ("theta_human", "theta_generated")}
+    common = {**fields, "caption_length_range": tuple(fields["caption_length_range"]),
+              "values": tuple(fields["values"]), "marker_words": dict(synth.DEFAULT_MARKERS)}
+    if "marker_words" in spec_obj:
+        where = f"{at}: field 'marker_words'"
+        common["marker_words"] = {
+            value: tuple(_checked(words, list, where, 1))
+            for value, words in _checked(spec_obj["marker_words"], dict, where).items()
+        }
+    seed, where = ((spec_obj["seed"], f"{at}: field 'seed'") if "seed" in spec_obj
+                   else (args.seed or 0, "--seed"))
+    _checked(seed, int, where, 0)
+    # the fields both sides share first, so that an error is named by its field
+    _in_range(at, synth.SynthSpec, marker_probability=1.0, **common)
+    human_spec, generated_spec = (
+        _in_range(f"{at}: field {name!r}", synth.SynthSpec,
+                  marker_probability=theta[name], seed=side_seed, **common)
+        for name, side_seed in (("theta_human", seed),
+                                ("theta_generated", lic_mod.derive_seed(seed, 1)))
     )
     human, generated = synth.generate_pair(human_spec, generated_spec)
 
@@ -257,65 +290,29 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- report
 
 
-def _require(config: dict, args: argparse.Namespace, key: str, metric: str):
-    value = _resolve(config, args, key)
-    if value is None:
+def _load_side(args: argparse.Namespace, key: str, source: Source, metric: str,
+               spec: AttributeSpec, **shared):
+    """The corpus at `args.<key>`, whose every caption must come from `source`;
+    `shared` are the annotations and objects both sides read."""
+    path = getattr(args, key)
+    if path is None:
         raise CorpusError(f"metric {metric!r} requires the {key!r} input")
-    return value
-
-
-# The JSON type each classifier setting takes: that of its default, where an
-# integer also serves for a float. Values are passed on unconverted, so the
-# config hash in the report is that of the file's values.
-_CLASSIFIER_TYPES = {
-    f.name: (int, float) if isinstance(f.default, float) else type(f.default)
-    for f in dataclasses.fields(ClassifierConfig)
-}
-
-
-def _protocol_config(config: dict, args: argparse.Namespace) -> ProtocolConfig:
-    protocol = _config_object(config.get("protocol", {}), args, "protocol")
-    classifier_cfg = _config_object(
-        protocol.get("classifier", {}), args, "protocol.classifier"
-    )
-    for key, value in classifier_cfg.items():
-        if key not in _CLASSIFIER_TYPES:
-            raise CorpusError(f"{args.config}: unknown key 'protocol.classifier.{key}'")
-        if isinstance(value, bool) or not isinstance(value, _CLASSIFIER_TYPES[key]):
+    corpus = load_corpus(path, args.annotations, spec, args.objects, **shared)
+    for record in corpus.records:
+        if record.source is not source:
             raise CorpusError(
-                f"{args.config}: 'protocol.classifier.{key}' has a value of the "
-                f"wrong type: {value!r}"
+                f"{path}: caption {record.caption_id!r} has source "
+                f"{record.source.value!r}, expected {source.value!r}"
             )
-    source = {key: f"{args.config}: 'protocol.classifier.{key}'" for key in classifier_cfg}
-    for key, flag, value in (("encoder_kind", "--encoder", args.encoder),
-                             ("epochs", "--epochs", args.epochs),
-                             ("learning_rate", "--learning-rate", args.learning_rate)):
-        if value is not None:
-            classifier_cfg[key], source[key] = value, flag
-    # Each setting checked alone, the others at their defaults, so that an
-    # out-of-range one is named as an input error.
-    for key, value in classifier_cfg.items():
-        try:
-            ClassifierConfig(**{key: value})
-        except ClassifierError as exc:
-            raise CorpusError(f"{source[key]}: {exc}") from None
-    return ProtocolConfig(
-        n_seeds=_config_number(protocol, args, "n_seeds", int, 10, "protocol.n_seeds"),
-        test_fraction=_config_number(
-            protocol, args, "test_fraction", float, 0.1, "protocol.test_fraction"
-        ),
-        classifier=ClassifierConfig(**classifier_cfg),
-    )
+    return corpus
 
 
-def _load_lexicon(path: Optional[str]) -> Optional[dict[str, frozenset[str]]]:
-    if not path:
-        return None
+def _load_lexicon(path: str) -> dict[str, frozenset[str]]:
     raw = _read_json(path)[0]
     if not isinstance(raw, dict):
         raise CorpusError(f"{path}: expected a JSON object of label -> list of strings")
     return {
-        label: frozenset(_strings(forms, f"{path}: {label!r}"))
+        label: frozenset(_checked(forms, list, f"{path}: {label!r}"))
         for label, forms in raw.items()
     }
 
@@ -337,47 +334,38 @@ def _dba_entry(human, generated, words, values_of, direction, **count) -> dict:
     }
 
 
-def run_metrics(config: dict, args: argparse.Namespace) -> dict:
-    """Compute the selected metrics and return the report document."""
-    metrics = _resolve(config, args, "metrics", list(ALL_METRICS))
-    if isinstance(metrics, str):
-        metrics = [m.strip() for m in metrics.split(",") if m.strip()]
+def run_metrics(args: argparse.Namespace) -> dict:
+    """Compute the selected metrics from the settings `load_settings` put in
+    `args`, and return the report document."""
+    metrics = args.metrics
     unknown = set(metrics) - set(ALL_METRICS)
     if unknown:
         raise CorpusError(f"unknown metrics: {sorted(unknown)}")
-
-    spec = _build_spec(config, args)
-    master_seed = _config_number(config, args, "seed", int, 0)
-    annotations_path = _resolve(config, args, "annotations")
-    objects_path = _resolve(config, args, "objects")
-    if "dba_g" in metrics and objects_path is None:
+    if "dba_g" in metrics and args.objects is None:
         raise CorpusError("metric 'dba_g' requires the 'objects' input file")
 
+    spec = _build_spec(args)
     # Both sides share the annotation and object files: read each once.
-    annotations = objects = None
-    if annotations_path is not None:
-        annotations = load_annotations(annotations_path, spec)
-    if objects_path is not None:
-        objects = load_object_annotations(objects_path)
+    shared = {"annotations": None, "objects": None}
+    if args.annotations is not None:
+        shared["annotations"] = load_annotations(args.annotations, spec)
+    if args.objects is not None:
+        shared["objects"] = load_object_annotations(args.objects)
     human = generated = None
     if {"lic", "leakage", "sc", "ba", "dba_g", "dba_o"} & set(metrics):
-        human = load_corpus(
-            _require(config, args, "human_captions", "ba/lic"),
-            annotations_path, spec, objects_path,
-            annotations=annotations, objects=objects,
-        )
+        human = _load_side(args, "human_captions", Source.HUMAN, "ba/lic", spec, **shared)
     if metrics:
-        generated = load_corpus(
-            _require(config, args, "generated_captions", metrics[0]),
-            annotations_path, spec, objects_path,
-            annotations=annotations, objects=objects,
-        )
+        generated = _load_side(args, "generated_captions", Source.MODEL, metrics[0], spec,
+                               **shared)
 
     results: dict[str, dict] = {}
 
     if PROTOCOL_METRICS & set(metrics):
-        protocol = _protocol_config(config, args)
-        reports = run_protocol(human, generated, protocol, master_seed)
+        protocol = ProtocolConfig(
+            n_seeds=args.n_seeds, test_fraction=args.test_fraction,
+            classifier=ClassifierConfig(**args.classifier),
+        )
+        reports = run_protocol(human, generated, protocol, args.seed)
         wanted = set()
         if "lic" in metrics:
             wanted |= {"lic", "lic_m", "lic_d"}
@@ -397,16 +385,13 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
     if "ba" in metrics:
         # a caption's value is the one it names where the spec has word lists
         values_of = (lambda c: c.mentions) if spec.has_word_lists else cooccur.annotated
-        task_words = _config_strings(config, args, "task_words")
-        if task_words:
+        if args.task_words:
             gt_table = cooccur.count_cooccurrence(
-                human, cooccur.TaskWordSet(task_words), values_of(human)
+                human, cooccur.TaskWordSet(tuple(args.task_words)), values_of(human)
             )
         else:
             gt_table = cooccur.select_task_words(
-                human, values_of(human),
-                top_k=_config_number(config, args, "top_k", int, 1000),
-                min_per_value=_config_number(config, args, "min_per_value", int, 100),
+                human, values_of(human), top_k=args.top_k, min_per_value=args.min_per_value,
             )
         gen_table = cooccur.count_cooccurrence(
             generated, cooccur.TaskWordSet(gt_table.words), values_of(generated)
@@ -417,7 +402,6 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
             "n_task_words": len(gt_table.words),
         }
 
-    lexicon = _load_lexicon(_resolve(config, args, "object_lexicon"))
     if "dba_g" in metrics:
         labels = sorted({l for s in human.object_annotations.values() for l in s})
         results["dba_g"] = _dba_entry(
@@ -425,8 +409,9 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
             cooccur.DbaDirection.GENDER_GIVEN_OBJECT, objects=True,
         )
     if "dba_o" in metrics:
-        if lexicon is None:
+        if args.object_lexicon is None:
             raise CorpusError("metric 'dba_o' requires the 'object_lexicon' input")
+        lexicon = _load_lexicon(args.object_lexicon)
         results["dba_o"] = _dba_entry(
             human, generated, sorted(lexicon), cooccur.annotated,
             cooccur.DbaDirection.OBJECT_GIVEN_GENDER, synonyms=lexicon,
@@ -442,7 +427,7 @@ def run_metrics(config: dict, args: argparse.Namespace) -> dict:
 
     return {
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "master_seed": master_seed,
+        "master_seed": args.seed,
         "attribute": spec.name,
         "input_hashes": {
             side: corpus.content_hash()
@@ -465,14 +450,12 @@ def _render_table(report: dict) -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    report = run_metrics(config, args)
-    out = _resolve(config, args, "out")
+    report = run_metrics(load_settings(args))
     text = json.dumps(report, indent=2)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
         if not args.quiet:
-            print(f"report -> {out}")
+            print(f"report -> {args.out}")
     else:
         print(text)
     if not args.quiet:
@@ -481,6 +464,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+
+def _names(text: str) -> list[str]:
+    """The names of a comma-separated list."""
+    return [name.strip() for name in text.split(",") if name.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--annotations")
     report.add_argument("--objects")
     report.add_argument("--object-lexicon", dest="object_lexicon")
-    report.add_argument("--metrics", help="comma-separated metric names")
+    report.add_argument("--metrics", type=_names, help="comma-separated metric names")
     report.add_argument("--n-seeds", dest="n_seeds", type=int)
     report.add_argument("--test-fraction", dest="test_fraction", type=float)
     report.add_argument("--top-k", dest="top_k", type=int)

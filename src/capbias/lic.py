@@ -47,6 +47,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.n_seeds < 1:
             raise CorpusError("n_seeds must be >= 1")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise CorpusError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ from capbias.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    SETTINGS,
     build_parser,
+    load_settings,
     main,
     run_metrics,
 )
@@ -112,6 +114,17 @@ class TestMask:
         assert main(args) == EXIT_VALIDATION
         assert f"{path}: unknown key 'mask_tokn'" in caplog.text
 
+    def test_wrong_protocol_value_is_an_error_without_a_protocol_metric(self, tmp_path,
+                                                                      caplog):
+        src = write_jsonl(tmp_path / "caps.jsonl", [{"caption_id": "c1", "caption": "a man"}])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"protocol": {"n_seeds": "many",
+                                                 "classifier": {"epochs": "x"}}}))
+        assert main(["mask", "--input", str(src), "--out", str(tmp_path / "o.jsonl"),
+                     "--config", str(path), "--quiet"]) == EXIT_VALIDATION
+        assert f"{path}: 'protocol.n_seeds' has a value of the wrong type" in caplog.text
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_custom_wordlist(self, tmp_path):
         wordlist = tmp_path / "words.tsv"
         wordlist.write_text("young\tchild\tchildren\nold\telder\n")
@@ -150,6 +163,31 @@ class TestSynth:
                      str(tmp_path / "corpus"), "--quiet"]) == EXIT_VALIDATION
         assert f"{spec}:2: missing field 'theta_generated'" in caplog.text
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", -1, "field 'seed' has a value out of range: -1"),
+        ("theta_human", 0.4, "field 'theta_human': marker_probability must be in [0.5, 1]"),
+        ("theta_generated", 1.5,
+         "field 'theta_generated': marker_probability must be in [0.5, 1]"),
+        ("n_images", 1, "need at least one image per attribute value"),
+        ("filler_vocab_size", 0, "field 'filler_vocab_size' has a value out of range: 0"),
+    ])
+    def test_out_of_range_field_names_file_and_line(self, tmp_path, caplog, field, value,
+                                                    message):
+        fields = {"n_images": 120, "theta_human": 0.6, "theta_generated": 0.9,
+                  field: value}
+        spec = tmp_path / "spec.json"
+        spec.write_text("\n" + json.dumps(fields) + "\n")
+        assert main(["synth", "--spec", str(spec), "--out-dir",
+                     str(tmp_path / "corpus"), "--quiet"]) == EXIT_VALIDATION
+        assert f"{spec}:2: {message}" in caplog.text
+
+    def test_negative_seed_flag_names_the_flag(self, tmp_path, caplog):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_images": 120, "theta_human": 0.6,
+                                    "theta_generated": 0.9}))
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "corpus"),
+                     "--seed", "-1", "--quiet"]) == EXIT_VALIDATION
+        assert "--seed has a value out of range: -1" in caplog.text
 
     @pytest.mark.parametrize("field,value", [
         ("n_images", "many"),
@@ -163,6 +201,10 @@ class TestSynth:
         ("marker_words", 5),
         ("marker_words", {"female": "umbrella", "male": ["skateboard"]}),
         ("marker_words", {"female": [], "male": ["skateboard"]}),
+        ("n_images", "120"),
+        ("n_images", 120.0),
+        ("theta_human", True),
+        ("caption_length_range", [6, 8, 10]),
     ])
     def test_wrong_type_names_file_and_line(self, tmp_path, caplog, field, value):
         fields = {"n_images": 120, "theta_human": 0.6, "theta_generated": 0.9,
@@ -233,6 +275,12 @@ def test_readme_commands_parse():
     assert {shlex.split(c)[1] for c in commands} == {"mask", "synth", "report"}
     for command in commands:
         build_parser().parse_args(shlex.split(command)[1:])
+
+
+def test_readme_settings_table_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    keys = re.findall(r"^\| `([a-z_.]+)` \|", readme, re.M)
+    assert sorted(keys) == sorted(SETTINGS)
 
 
 @pytest.mark.parametrize("flag", ["--config", "--object-lexicon", "--spec"])
@@ -329,7 +377,7 @@ class TestReport:
         args = self._report_args(synth_dir, tmp_path / "r.json", "ba")
         args[args.index("--annotations") + 1] = str(bad)
         with pytest.raises(CorpusError, match=rf"{bad}:{n_lines}: attribute value"):
-            run_metrics({}, build_parser().parse_args(args))
+            run_metrics(load_settings(build_parser().parse_args(args)))
         assert main(args) == EXIT_VALIDATION
 
     @pytest.mark.parametrize("flag,field", [
@@ -430,6 +478,14 @@ class TestReport:
         ({"tpo_k": 10}, "unknown key 'tpo_k'"),
         ({"master_seed": 7}, "unknown key 'master_seed'"),
         ({"protocol": {"seeds": 2}}, "unknown key 'protocol.seeds'"),
+        ({"epochs": 2}, "unknown key 'epochs'"),
+        ({"top_k": 0}, "'top_k' has a value out of range"),
+        ({"min_per_value": -1}, "'min_per_value' has a value out of range"),
+        ({"protocol": {"n_seeds": 0}}, "'protocol.n_seeds': n_seeds must be >= 1"),
+        ({"protocol": {"test_fraction": 1.5}},
+         "'protocol.test_fraction': test_fraction must be in (0, 1)"),
+        ({"protocol": {"test_fraction": 0}},
+         "'protocol.test_fraction': test_fraction must be in (0, 1)"),
     ])
     def test_wrong_config_value_names_file_and_key(self, synth_dir, tmp_path,
                                                     caplog, config, key):
@@ -446,6 +502,90 @@ class TestReport:
                                  extra=["--epochs", "0"])
         assert main(args) == EXIT_VALIDATION
         assert "--epochs: epochs and batch_size must be positive" in caplog.text
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--top-k", "-1", "--top-k has a value out of range: -1"),
+        ("--top-k", "0", "--top-k has a value out of range: 0"),
+        ("--min-per-value", "-1", "--min-per-value has a value out of range: -1"),
+        ("--n-seeds", "0", "--n-seeds: n_seeds must be >= 1"),
+        ("--test-fraction", "1.5", "--test-fraction: test_fraction must be in (0, 1)"),
+    ])
+    def test_out_of_range_flag_names_the_flag(self, synth_dir, tmp_path, caplog, flag,
+                                             value, message):
+        args = self._report_args(
+            synth_dir, tmp_path / "r.json", "ba",
+            extra=["--config", str(self._task_word_config(tmp_path)), flag, value],
+        )
+        assert main(args) == EXIT_VALIDATION
+        assert message in caplog.text
+
+    # One wrong-typed value for each config key: a number is never a string or
+    # a boolean, and an integer setting takes no float.
+    WRONG_TYPED = {
+        "attribute": 4, "values": 5, "wordlist": 0, "mask_token": 3, "seed": 1.5,
+        "metrics": 5, "out": 5, "human_captions": 5, "generated_captions": ["a.jsonl"],
+        "annotations": 5, "objects": 5, "object_lexicon": 5, "task_words": [5],
+        "top_k": "lots", "min_per_value": True, "protocol": 5,
+        "protocol.n_seeds": 2.7, "protocol.test_fraction": "0.2", "protocol.classifier": 5,
+    }
+
+    def test_every_config_key_has_a_wrong_typed_case(self):
+        assert sorted(self.WRONG_TYPED) == sorted(SETTINGS)
+
+    @pytest.mark.parametrize("key", sorted(WRONG_TYPED))
+    def test_wrong_typed_config_key_names_file_and_key(self, synth_dir, tmp_path, caplog,
+                                                       key):
+        # a config that `report --metrics ba` runs with, one value made wrong
+        path = self._task_word_config(tmp_path)
+        config = json.loads(path.read_text())
+        section, _, name = key.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[name] = self.WRONG_TYPED[key]
+        path.write_text(json.dumps(config))
+        args = self._report_args(synth_dir, tmp_path / "r.json", "ba",
+                                 extra=["--config", str(path)])
+        assert main(args) == EXIT_VALIDATION
+        assert f"{path}: {key!r} has a value of the wrong type" in caplog.text
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("metrics", ["ba", "lic"])
+    def test_wrong_protocol_value_is_an_error_for_every_metric(self, synth_dir, tmp_path,
+                                                               caplog, metrics):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"protocol": {"n_seeds": "many",
+                                                 "classifier": {"epochs": "x"}}}))
+        args = self._report_args(synth_dir, tmp_path / "r.json", metrics,
+                                 extra=["--config", str(path)])
+        assert main(args) == EXIT_VALIDATION
+        assert f"{path}: 'protocol.n_seeds' has a value of the wrong type" in caplog.text
+
+    def test_object_lexicon_is_read_only_for_dba_o(self, synth_dir, tmp_path):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text('{"umbrella": \n')
+        args = self._report_args(
+            synth_dir, tmp_path / "r.json", "ba",
+            extra=["--config", str(self._task_word_config(tmp_path)),
+                   "--object-lexicon", str(lexicon)],
+        )
+        assert main(args) == EXIT_OK
+
+    @pytest.mark.parametrize("flag,source,expected", [
+        ("--human-captions", "model", "human"),
+        ("--generated-captions", "human", "model"),
+    ])
+    def test_caption_source_must_match_its_side(self, synth_dir, tmp_path, caplog, flag,
+                                                source, expected):
+        args = self._report_args(
+            synth_dir, tmp_path / "r.json", "ba",
+            extra=["--config", str(self._task_word_config(tmp_path))],
+        )
+        rows = read_jsonl(args[args.index(flag) + 1])
+        for row in rows[3:5]:
+            row["source"] = source
+        bad = write_jsonl(tmp_path / "captions.jsonl", rows)
+        args[args.index(flag) + 1] = str(bad)
+        assert main(args) == EXIT_VALIDATION
+        assert (f"{bad}: caption {rows[3]['caption_id']!r} has source {source!r}, "
+                f"expected {expected!r}") in caplog.text
 
     @pytest.mark.parametrize("config,key", [
         ({"top_k": "lots"}, "'top_k'"),
