@@ -18,17 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
+from capbias.adam import adam_step, first_read_order
 from capbias.vocab import PAD_INDEX, Vocabulary
 
 logger = logging.getLogger(__name__)
 
 LEAKY_SLOPE = 0.01
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
-# Elements per pass of the Adam update: the chunks of its six arrays fit in
-# a core's L2 cache.
-ADAM_CHUNK = 8192
 # Captions per forward pass of `predict_proba`.
 PREDICT_CHUNK = 256
 
@@ -296,9 +291,10 @@ def _encode_batch(params, config, idx, mask, caches):
     return np.concatenate([states[-1, 0], states[-1, 1]], axis=1)
 
 
-def _encoder_backward(params, config, idx, mask, caches, d_enc, grads):
+def _encoder_backward(params, config, idx, mask, caches, d_enc, grads, embed_rows):
     """Write the encoder's gradients: the recurrent ones overwrite their
-    arrays, the embedding's are added into `grads["embed"]`."""
+    arrays, the embedding's are added into `grads["embed"]`, each token's
+    into its row in `embed_rows`."""
     if config.encoder_kind == BAG_MEAN:
         d_emb = (d_enc / caches["lengths"])[:, None, :] * mask[..., None]
     else:
@@ -313,7 +309,7 @@ def _encoder_backward(params, config, idx, mask, caches, d_enc, grads):
             np.zeros_like(d_final), grads, 1,
         )
         d_emb *= mask[..., None]
-    _add_rows(grads["embed"], idx, d_emb)
+    _add_rows(grads["embed"], embed_rows, d_emb)
 
 
 def _add_rows(table: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
@@ -344,11 +340,14 @@ def _loss_and_grads(
     mask: np.ndarray,
     labels: np.ndarray,
     grads: dict[str, np.ndarray],
+    embed_rows: np.ndarray | None = None,
 ) -> float:
     """Mean cross-entropy of a batch; its gradients are written into `grads`.
 
     The embedding's gradient is added in, so its array must hold zeros on
-    entry; every other gradient overwrites its array.
+    entry; every other gradient overwrites its array. The gradient of the
+    token `idx[i, j]` is added to row `embed_rows[i, j]` of `grads["embed"]`,
+    by default row `idx[i, j]`.
     """
     params, config = classifier.params, classifier.config
     logits, caches = _forward_batch(classifier, idx, mask)
@@ -366,7 +365,8 @@ def _loss_and_grads(
     np.matmul(caches["enc"].T, d_h, out=grads["W1"])
     d_h.sum(axis=0, out=grads["b1"])
     d_enc = d_h @ params["W1"].T
-    _encoder_backward(params, config, idx, mask, caches, d_enc, grads)
+    _encoder_backward(params, config, idx, mask, caches, d_enc, grads,
+                      idx if embed_rows is None else embed_rows)
     return loss
 
 
@@ -380,37 +380,13 @@ def predict_proba(classifier: AttributeClassifier, sequences: Packed) -> np.ndar
     return out
 
 
-def _adam_step(param, grad, moment1, moment2, scratch1, scratch2, lr, step):
-    """One Adam update (Kingma & Ba 2015) of `param`, in place.
-
-    The operations and their order are those of
-        m = b1*m + (1-b1)*g
-        v = b2*v + ((1-b2)*g)*g
-        p -= (lr*(m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps)
-    so the result is bit-identical to evaluating that formula with fresh
-    arrays. The buffers are updated a chunk of `scratch1.size` elements at a
-    time, so the chunks of all six arrays stay in cache; `scratch1` and
-    `scratch2` hold the intermediates.
-    """
-    chunk = scratch1.size
-    for start in range(0, param.size, chunk):
-        part = slice(start, start + chunk)
-        p, g, m, v = param[part], grad[part], moment1[part], moment2[part]
-        s1, s2 = scratch1[:p.size], scratch2[:p.size]
-        np.multiply(m, ADAM_BETA1, out=m)
-        np.multiply(g, 1 - ADAM_BETA1, out=s1)
-        np.add(m, s1, out=m)
-        np.multiply(v, ADAM_BETA2, out=v)
-        np.multiply(g, 1 - ADAM_BETA2, out=s1)
-        np.multiply(s1, g, out=s1)
-        np.add(v, s1, out=v)
-        np.divide(m, 1 - ADAM_BETA1 ** step, out=s1)
-        np.multiply(s1, lr, out=s1)
-        np.divide(v, 1 - ADAM_BETA2 ** step, out=s2)
-        np.sqrt(s2, out=s2)
-        np.add(s2, ADAM_EPS, out=s2)
-        np.divide(s1, s2, out=s1)
-        np.subtract(p, s1, out=p)
+def _views(buffer: np.ndarray, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views into `buffer` of the shapes of `arrays`, one after another."""
+    views, offset = {}, 0
+    for key, value in arrays.items():
+        views[key] = buffer[offset:offset + value.size].reshape(value.shape)
+        offset += value.size
+    return views
 
 
 def train(
@@ -433,51 +409,89 @@ def train(
     if labels_arr.min() < 0 or labels_arr.max() >= classifier.n_classes:
         raise ClassifierError("label outside [0, n_classes)")
 
-    # One float64 buffer holds every parameter; classifier.params become
-    # views into it, and the Adam moments and the gradient share its layout,
-    # so the optimizer is one code path over one buffer.
-    flat = np.concatenate([v.ravel() for v in classifier.params.values()])
-    moment1, moment2, grad = (np.zeros_like(flat) for _ in range(3))
-    scratch1, scratch2 = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
-    params: dict[str, np.ndarray] = {}
-    grads: dict[str, np.ndarray] = {}
-    offset = 0
-    for key, value in classifier.params.items():
-        params[key] = flat[offset:offset + value.size].reshape(value.shape)
-        grads[key] = grad[offset:offset + value.size].reshape(value.shape)
-        offset += value.size
-    classifier.params = params
-
     rng = np.random.default_rng([config.seed, 1])  # shuffle stream, distinct from init
+    order = rng.permutation(len(sequences))
+    # Every epoch reads every sequence, so the first reads every embedding
+    # row that is ever read. While training, the embedding's rows are in the
+    # order of their first read, so that the rows read so far are a prefix,
+    # and each batch's token ids are mapped to that order. A row no batch has
+    # read has m = v = 0 and g = 0, which the Adam step leaves as they are,
+    # so the step is limited to the prefix.
+    embed = classifier.params["embed"]
+    n_rows, width = embed.shape
+    rows = first_read_order(
+        (_gather_batch(sequences, order[start:start + config.batch_size])[0]
+         for start in range(0, len(order), config.batch_size)),
+        n_rows, PAD_INDEX + 1,
+    )
+    rank = np.empty(n_rows, dtype=np.int64)
+    rank[rows] = np.arange(n_rows)
+
+    # One float64 buffer holds every parameter, the embedding first;
+    # classifier.params become views into it, and the Adam moments share its
+    # layout. The other parameters' gradient is one buffer of their layout;
+    # the embedding's holds the rows a batch read.
+    others = {key: value for key, value in classifier.params.items() if key != "embed"}
+    flat = np.empty(sum(value.size for value in classifier.params.values()))
+    moment1, moment2 = np.zeros_like(flat), np.zeros_like(flat)
+    rest = slice(embed.size, None)
+    grad = np.zeros_like(flat[rest])
+    params = _views(flat, {"embed": embed, **others})
+    grads = _views(grad, others)
+    np.take(embed, rows, axis=0, out=params["embed"], mode="clip")
+    for key, value in others.items():
+        params[key][...] = value
+    classifier.params = {key: params[key] for key in classifier.params}
+    embed = params["embed"]
+    embed_m, embed_v = (m[:embed.size].reshape(embed.shape) for m in (moment1, moment2))
+
+    read = np.zeros(n_rows, dtype=bool)
+    slot = np.empty(n_rows, dtype=np.int64)
+    n_read = 0  # the rows any batch has read are [0, n_read)
     step = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(sequences))
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            batch_ids = order[start:start + config.batch_size]
-            idx, mask = _gather_batch(sequences, batch_ids)
-            loss = _loss_and_grads(classifier, idx, mask, labels_arr[batch_ids], grads)
-            if not np.isfinite(loss):
-                raise ClassifierError(
-                    f"non-finite loss at epoch {epoch}, step {step}: {loss}"
-                )
-            step += 1
-            _adam_step(flat, grad, moment1, moment2, scratch1, scratch2,
-                       config.learning_rate, step)
-            # min and max propagate NaN and reach any infinity, and unlike
-            # isfinite(flat) they allocate no temporary as large as the buffer.
-            if not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
-                key = next(k for k, v in params.items() if not np.isfinite(v).all())
-                raise ClassifierError(
-                    f"non-finite parameter {key!r} at epoch {epoch}, step {step}"
-                )
-            # Clear what _loss_and_grads added into: the embedding rows this
-            # batch read.
-            grads["embed"][idx] = 0.0
-            epoch_loss += loss
-            n_batches += 1
-        classifier.training_log.append(epoch_loss / n_batches)
+    try:
+        for epoch in range(config.epochs):
+            if epoch:
+                order = rng.permutation(len(sequences))
+            epoch_loss = 0.0
+            n_batches = 0
+            for start in range(0, len(order), config.batch_size):
+                batch_ids = order[start:start + config.batch_size]
+                idx, mask = _gather_batch(sequences, batch_ids)
+                idx = rank[idx]
+                read[idx] = True
+                hit = np.flatnonzero(read)
+                read[hit] = False
+                slot[hit] = np.arange(len(hit))
+                grads["embed"] = np.zeros((len(hit), width))
+                loss = _loss_and_grads(classifier, idx, mask, labels_arr[batch_ids],
+                                       grads, slot[idx])
+                if not np.isfinite(loss):
+                    raise ClassifierError(
+                        f"non-finite loss at epoch {epoch}, step {step}: {loss}"
+                    )
+                step += 1
+                n_read = max(n_read, int(hit[-1]) + 1)
+                adam_step(embed[:n_read], grads["embed"], embed_m[:n_read],
+                          embed_v[:n_read], config.learning_rate, step, hit)
+                adam_step(flat[rest, None], grad[:, None], moment1[rest, None],
+                          moment2[rest, None], config.learning_rate, step)
+                # min and max propagate NaN and reach any infinity, and unlike
+                # isfinite(flat) they allocate no temporary as large as the buffer.
+                if not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
+                    key = next(k for k, v in classifier.params.items()
+                               if not np.isfinite(v).all())
+                    raise ClassifierError(
+                        f"non-finite parameter {key!r} at epoch {epoch}, step {step}"
+                    )
+                epoch_loss += loss
+                n_batches += 1
+            classifier.training_log.append(epoch_loss / n_batches)
+    finally:
+        # The embedding back in vocabulary order, through the first moment's
+        # buffer, which is no longer needed.
+        np.take(embed, rank, axis=0, out=embed_m, mode="clip")
+        embed[...] = embed_m
     if classifier.training_log[-1] > classifier.training_log[0]:
         logger.info(
             "final training loss %.4f exceeds initial %.4f",

@@ -42,18 +42,19 @@ ALL_METRICS = ("lic", "leakage", "sc", "ba", "dba_g", "dba_o", "ratio", "error")
 PROTOCOL_METRICS = {"lic", "leakage", "sc"}
 
 # The settings of `mask` and `report`, one row per config key: its JSON type,
-# its default and its range, which is the least value or the dataclass that
-# checks the field of that name. A key's last part names the `args`
-# attribute it resolves into, which is also the dest of its flag where the
-# command has one. `protocol.classifier` holds `ClassifierConfig` fields,
-# each checked against that field's type and by `ClassifierConfig`.
+# its default and its range, which is the least value, the dataclass that
+# checks the field of that name, or the names a list may hold. A key's last
+# part names the `args` attribute it resolves into, which is also the dest of
+# its flag where the command has one. `protocol.classifier` holds
+# `ClassifierConfig` fields, each checked against that field's type and by
+# `ClassifierConfig`.
 SETTINGS = {
     "attribute": (str, "gender", None),
     "values": (list, (), None),
     "wordlist": (str, None, None),
     "mask_token": (str, "<gender>", None),
     "seed": (int, 0, None),
-    "metrics": (list, ALL_METRICS, None),
+    "metrics": (list, ALL_METRICS, ALL_METRICS),
     "out": (str, None, None),
     "human_captions": (str, None, None),
     "generated_captions": (str, None, None),
@@ -160,6 +161,11 @@ def load_settings(args: argparse.Namespace) -> argparse.Namespace:
             _checked(value, kind, where, check if isinstance(check, int) else None)
             if check is ProtocolConfig:
                 _in_range(where, check, **{name: value})
+            elif isinstance(check, tuple) and not set(value) <= set(check):
+                raise CorpusError(
+                    f"{where} has unknown names {sorted(set(value) - set(check))} "
+                    f"(expected some of {', '.join(check)})"
+                )
         setattr(args, name, value)
     classifier = dict(args.classifier)
     given = [(name, value, f"{path}: 'protocol.classifier.{name}'")
@@ -251,8 +257,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
             value: tuple(_checked(words, list, where, 1))
             for value, words in _checked(spec_obj["marker_words"], dict, where).items()
         }
-    seed, where = ((spec_obj["seed"], f"{at}: field 'seed'") if "seed" in spec_obj
-                   else (args.seed or 0, "--seed"))
+    # the flag wins over the spec, as over the config of `mask` and `report`
+    seed, where = ((args.seed, "--seed") if args.seed is not None
+                   else (spec_obj.get("seed", 0), f"{at}: field 'seed'"))
     _checked(seed, int, where, 0)
     # the fields both sides share first, so that an error is named by its field
     _in_range(at, synth.SynthSpec, marker_probability=1.0, **common)
@@ -338,9 +345,6 @@ def run_metrics(args: argparse.Namespace) -> dict:
     """Compute the selected metrics from the settings `load_settings` put in
     `args`, and return the report document."""
     metrics = args.metrics
-    unknown = set(metrics) - set(ALL_METRICS)
-    if unknown:
-        raise CorpusError(f"unknown metrics: {sorted(unknown)}")
     if "dba_g" in metrics and args.objects is None:
         raise CorpusError("metric 'dba_g' requires the 'objects' input file")
 

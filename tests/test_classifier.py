@@ -2,13 +2,11 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capbias.adam import ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS
 from capbias.classifier import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
     LEAKY_SLOPE,
     ClassifierConfig,
     ClassifierError,
@@ -266,6 +264,80 @@ class TestAdamReference:
             assert np.array_equal(fast.params[key], slow.params[key]), key
         assert fast.training_log == slow.training_log
         assert len(fast.training_log) == 3
+
+
+# At this embed_dim a chunk of the Adam update is 16 embedding rows, so the
+# rows the batches read span several chunks and their boundaries.
+WIDE_DIM = ADAM_CHUNK // 16
+
+
+@pytest.fixture(scope="module")
+def wide_vocabulary():
+    return build_vocab([[f"v{i}" for i in range(100)]], mask_token="<gender>")
+
+
+class TestFirstReadOrder:
+    """`train` holds the embedding in first-read order and skips the rows no
+    batch has read; none of it shows in the parameters it returns."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_train_matches_reference(self, wide_vocabulary, data):
+        n_rows = len(wide_vocabulary)
+        encoder = data.draw(st.sampled_from(["bag_mean", "birecurrent"]))
+        epochs = data.draw(st.integers(1, 3))
+        batch_size = data.draw(st.integers(2, 6))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        # Tokens from all rows but the last, which only the last, short
+        # batch of the first epoch reads; most rows are read by no sequence.
+        sequences = data.draw(st.lists(
+            st.lists(st.integers(0, n_rows - 20), min_size=1, max_size=10),
+            min_size=1, max_size=14,
+        ))
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=len(sequences),
+                                    max_size=len(sequences)))
+        first_epoch = np.random.default_rng([seed, 1]).permutation(len(sequences))
+        last_batch = first_epoch[(len(sequences) - 1) // batch_size * batch_size:]
+        for i, row in enumerate(last_batch):
+            sequences[row] = [*sequences[row], n_rows - 1 - i]
+        config = small_config(encoder_kind=encoder, embed_dim=WIDE_DIM, epochs=epochs,
+                              batch_size=batch_size, seed=seed)
+        fast = train(init_classifier(config, wide_vocabulary, 3),
+                     Packed.from_lists(sequences), labels)
+        slow = reference_train(init_classifier(config, wide_vocabulary, 3), sequences,
+                               labels)
+        assert list(fast.params) == list(slow.params)
+        for key in slow.params:
+            assert np.array_equal(fast.params[key], slow.params[key]), key
+        assert fast.training_log == slow.training_log
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_parameter_in_unread_row_names_key(self):
+        vocabulary = build_vocab([[f"w{i}" for i in range(20)] + ["unread"]],
+                                 mask_token="<gender>")
+        unread = vocabulary.encode(["unread"])[0]
+        model = init_classifier(small_config(), vocabulary, 2)
+        model.params["embed"][unread] = np.inf
+        sequences, labels = synthetic_data(vocabulary)
+        assert unread not in {token for seq in sequences for token in seq}
+        with pytest.raises(
+            ClassifierError, match=r"non-finite parameter 'embed' at epoch 0, step 1"
+        ):
+            train(model, Packed.from_lists(sequences), labels)
+        # the parameters are in vocabulary order also after a failed step
+        assert np.isinf(model.params["embed"][unread]).all()
+        assert np.isfinite(np.delete(model.params["embed"], unread, axis=0)).all()
+
+    def test_sequences_unchanged(self, vocabulary):
+        sequences, labels = synthetic_data(vocabulary)
+        shared = Packed.from_lists(sequences)
+        # like the protocol's train and test splits: one token array, two views
+        train_x = Packed(shared.tokens, shared.offsets[::2], shared.lengths[::2])
+        before = [a.copy() for a in (shared.tokens, train_x.offsets, train_x.lengths)]
+        train(init_classifier(small_config(), vocabulary, 2), train_x, labels[::2])
+        for after, copy in zip((shared.tokens, train_x.offsets, train_x.lengths), before):
+            assert after.dtype == copy.dtype
+            assert np.array_equal(after, copy)
 
 
 # A reference for the birecurrent encoder: one directional scan per layer and

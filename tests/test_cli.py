@@ -125,6 +125,15 @@ class TestMask:
         assert f"{path}: 'protocol.n_seeds' has a value of the wrong type" in caplog.text
         assert not (tmp_path / "o.jsonl").exists()
 
+    def test_unknown_metric_in_config_is_an_error(self, tmp_path, caplog):
+        src = write_jsonl(tmp_path / "caps.jsonl", [{"caption_id": "c1", "caption": "a man"}])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"metrics": ["ba", "bogus"]}))
+        assert main(["mask", "--input", str(src), "--out", str(tmp_path / "o.jsonl"),
+                     "--config", str(path), "--quiet"]) == EXIT_VALIDATION
+        assert f"{path}: 'metrics' has unknown names ['bogus']" in caplog.text
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_custom_wordlist(self, tmp_path):
         wordlist = tmp_path / "words.tsv"
         wordlist.write_text("young\tchild\tchildren\nold\telder\n")
@@ -188,6 +197,26 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "corpus"),
                      "--seed", "-1", "--quiet"]) == EXIT_VALIDATION
         assert "--seed has a value out of range: -1" in caplog.text
+
+    def test_seed_flag_wins_over_spec(self, tmp_path):
+        fields = {"n_images": 120, "theta_human": 0.6, "theta_generated": 0.9}
+        spec, plain = tmp_path / "spec.json", tmp_path / "plain.json"
+        spec.write_text(json.dumps({**fields, "seed": 5}))
+        plain.write_text(json.dumps(fields))
+        runs = {
+            "flag": ["--spec", str(spec), "--seed", "9"],
+            "seed9": ["--spec", str(plain), "--seed", "9"],
+            "seed5": ["--spec", str(spec)],
+        }
+        for name, args in runs.items():
+            assert main(["synth", *args, "--out-dir", str(tmp_path / name),
+                         "--quiet"]) == EXIT_OK
+        for name in ("human_captions.jsonl", "generated_captions.jsonl",
+                     "annotations.jsonl"):
+            flag = (tmp_path / "flag" / name).read_bytes()
+            assert flag == (tmp_path / "seed9" / name).read_bytes(), name
+        assert ((tmp_path / "flag" / "human_captions.jsonl").read_bytes()
+                != (tmp_path / "seed5" / "human_captions.jsonl").read_bytes())
 
     @pytest.mark.parametrize("field,value", [
         ("n_images", "many"),
@@ -558,6 +587,23 @@ class TestReport:
         assert main(args) == EXIT_VALIDATION
         assert f"{path}: 'protocol.n_seeds' has a value of the wrong type" in caplog.text
 
+    def test_unknown_metric_names_file_and_key(self, synth_dir, tmp_path, caplog):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"metrics": ["bogus"]}))
+        args = self._report_args(synth_dir, tmp_path / "r.json", "ba",
+                                 extra=["--config", str(path)])
+        args[args.index("--metrics"):args.index("--metrics") + 2] = []
+        assert main(args) == EXIT_VALIDATION
+        assert (f"{path}: 'metrics' has unknown names ['bogus'] (expected some of lic, "
+                "leakage, sc, ba, dba_g, dba_o, ratio, error)") in caplog.text
+        assert not (tmp_path / "r.json").exists()
+
+    def test_unknown_metric_names_the_flag(self, synth_dir, tmp_path, caplog):
+        args = self._report_args(synth_dir, tmp_path / "r.json", "ba,bogus,lic")
+        assert main(args) == EXIT_VALIDATION
+        assert "--metrics has unknown names ['bogus']" in caplog.text
+        assert not (tmp_path / "r.json").exists()
+
     def test_object_lexicon_is_read_only_for_dba_o(self, synth_dir, tmp_path):
         lexicon = tmp_path / "lexicon.json"
         lexicon.write_text('{"umbrella": \n')
@@ -696,3 +742,28 @@ def test_capbias_threads_caps_blas_threads():
         text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "1"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="needs at least two CPUs to run two BLAS threads")
+@pytest.mark.parametrize("encoder", ["bag_mean", "birecurrent"])
+def test_lic_report_same_with_one_and_two_blas_threads(synth_dir, tmp_path, encoder):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(capbias.__file__).parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        subprocess.run(
+            [sys.executable, "-m", "capbias.cli", "report", "--metrics", "lic",
+             "--human-captions", str(synth_dir / "human_captions.jsonl"),
+             "--generated-captions", str(synth_dir / "generated_captions.jsonl"),
+             "--annotations", str(synth_dir / "annotations.jsonl"),
+             "--encoder", encoder, "--n-seeds", "1", "--epochs", "2",
+             "--out", str(out), "--quiet"],
+            env={**env, "CAPBIAS_THREADS": threads}, check=True, timeout=300,
+        )
+        report = json.loads(out.read_text())
+        del report["timestamp"]
+        reports.append(report)
+    assert reports[0] == reports[1]
