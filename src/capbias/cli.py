@@ -456,14 +456,15 @@ def _render_table(report: dict) -> str:
 def cmd_report(args: argparse.Namespace) -> int:
     report = run_metrics(load_settings(args))
     text = json.dumps(report, indent=2)
-    if args.out:
+    # standard output is one format: the report itself, or with --out the
+    # path and a table
+    if not args.out:
+        print(text)
+    else:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
         if not args.quiet:
             print(f"report -> {args.out}")
-    else:
-        print(text)
-    if not args.quiet:
-        sys.stdout.write(_render_table(report))
+            sys.stdout.write(_render_table(report))
     return EXIT_OK
 
 

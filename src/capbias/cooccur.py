@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Optional
 
 import numpy as np
@@ -121,19 +119,23 @@ def select_task_words(
 ) -> CooccurrenceTable:
     """Frequent caption words that co-occur enough with every attribute value.
 
-    Candidates are the top_k most frequent tokens (attribute words excluded);
-    a word survives only if it co-occurs at least min_per_value times with
-    each attribute value in the ground-truth captions, whose values are
-    `values` as in `count_cooccurrence`. Returns the kept words' counts.
+    Candidates are the top_k most frequent tokens (attribute words excluded),
+    ties broken by the token; a word survives only if it co-occurs at least
+    min_per_value times with each attribute value in the ground-truth
+    captions, whose values are `values` as in `count_cooccurrence`. Returns
+    the kept words' counts.
     """
     spec = human_corpus.attribute_spec
-    masker = Masker(spec)
-    freq = Counter(chain.from_iterable(r.tokens for r in human_corpus.records))
-
-    candidates = [
-        t for t in sorted(freq, key=lambda t: (-freq[t], t))
-        if t not in masker.all_words and t != spec.mask_token
-    ][:top_k]
+    excluded = Masker(spec).all_words | {spec.mask_token}
+    table = human_corpus.token_table
+    # `np.add.at` counts the int32 ids without the intp copy `np.bincount` makes
+    freq = np.zeros(len(table.tokens), dtype=np.intp)
+    np.add.at(freq, table.ids, 1)
+    count = dict(zip(table.tokens, freq.tolist()))
+    # by token, then (stably) by falling count
+    ranked = sorted(count)
+    ranked.sort(key=count.__getitem__, reverse=True)
+    candidates = [t for t in ranked if t not in excluded][:top_k]
     if not candidates:
         raise CorpusError("no task-word candidates; corpus may be too small")
 
@@ -175,28 +177,65 @@ def count_cooccurrence(
     for j, word in enumerate(task_words.words):
         for form in lexicon.get(word, frozenset()) | {word}:
             columns.setdefault(form, []).append(j)
-    if objects and corpus.object_annotations is None:
-        raise CorpusError("object-label counting requires object annotations")
 
-    # value row * n_words + column, once per caption and present column
-    def cells():
-        for record, value in zip(corpus.records, values.tolist()):
-            if value < 0:
-                continue
-            if objects:
-                seen = corpus.object_annotations.get(record.image_id)
-                if seen is None:
-                    raise CorpusError(
-                        f"image {record.image_id!r} has no object annotation"
-                    )
-            else:
-                seen = record.tokens
-            row = value * n_words
-            yield from {row + j for form in seen for j in columns.get(form, ())}
+    counted = values >= 0
+    if objects:
+        annotations = corpus.object_annotations
+        if annotations is None:
+            raise CorpusError("object-label counting requires object annotations")
+        # each caption's image as its item, and each image's columns
+        image_ids = [r.image_id for r in corpus.records]
+        images = {image: k for k, image in enumerate(dict.fromkeys(image_ids))}
+        items = np.fromiter(
+            map(images.__getitem__, image_ids), dtype=np.int32, count=len(image_ids)
+        )
+        missing = counted & np.array(
+            [image not in annotations for image in images], dtype=bool
+        )[items]
+        if missing.any():
+            raise CorpusError(
+                f"image {image_ids[missing.argmax()]!r} has no object annotation"
+            )
+        caption = np.arange(len(image_ids), dtype=np.int32)
+        item_columns = [
+            [j for label in annotations.get(image, ()) for j in columns.get(label, ())]
+            for image in images
+        ]
+    else:
+        # each token id as an item of its caption, and each token's columns
+        table = corpus.token_table
+        caption, items = table.caption, table.ids
+        item_columns = [columns.get(token, ()) for token in table.tokens]
 
-    counts = np.bincount(
-        np.fromiter(cells(), dtype=np.intp), minlength=len(spec.values) * n_words
-    ).reshape(len(spec.values), n_words)
+    # One key per (caption, value, column): where the caption's value row
+    # starts, plus the column; int32 where every key fits. A caption with a
+    # negative value has none.
+    n_cells = len(spec.values) * n_words
+    start = np.arange(len(values)) * n_cells + values * n_words
+    if len(values) * n_cells <= np.iinfo(np.int32).max:
+        start = start.astype(np.int32)
+    keys = []
+    for k in range(max([1, *map(len, item_columns)])):
+        # the k-th column of each item, or -1
+        column = np.fromiter(
+            (c[k] if len(c) > k else -1 for c in item_columns),
+            dtype=np.int32, count=len(item_columns),
+        )
+        hit = (column >= 0)[items]
+        hit &= counted[caption]
+        key = start[caption[hit]]
+        key += column[items[hit]]
+        keys.append(key)
+    key = keys[0] if len(keys) == 1 else np.concatenate(keys)
+    # a caption counts once per cell
+    key.sort()
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    key = key[new]
+    key %= n_cells
+    counts = np.zeros(n_cells, dtype=np.intp)
+    np.add.at(counts, key, 1)
+    counts = counts.reshape(len(spec.values), n_words)
     return CooccurrenceTable(values=spec.values, words=task_words.words, counts=counts)
 
 

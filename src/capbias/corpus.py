@@ -13,8 +13,11 @@ import logging
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -98,6 +101,25 @@ class CaptionRecord:
             raise CorpusError(f"record {self.caption_id!r} has no tokens")
 
 
+class _Quoted(dict):
+    """JSON string literals, each made once: `self[text]` is
+    `encode_basestring(text)`."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = literal = encode_basestring(text)
+        return literal
+
+
+class TokenTable(NamedTuple):
+    """A corpus's tokens as ids: the distinct tokens in first-seen order, and
+    every caption's token ids, concatenated in record order, with the record
+    index of each."""
+
+    tokens: tuple[str, ...]
+    ids: np.ndarray      # int32, an index into `tokens`
+    caption: np.ndarray  # int32, an index into `Corpus.records`
+
+
 @dataclass(frozen=True)
 class Corpus:
     """A set of caption records sharing one attribute spec."""
@@ -137,18 +159,39 @@ class Corpus:
     # Records are immutable, so each of these is computed at most once per
     # corpus and kept on the instance, which drops them with the corpus.
     @cached_property
+    def token_table(self) -> TokenTable:
+        """The records' tokens as ids into a table of distinct tokens."""
+        records = self.records
+        index = dict.fromkeys(chain.from_iterable(r.tokens for r in records))
+        for i, token in enumerate(index):
+            index[token] = i
+        lengths = np.fromiter((len(r.tokens) for r in records), dtype=np.intp,
+                              count=len(records))
+        ids = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(r.tokens for r in records)),
+            dtype=np.int32, count=int(lengths.sum()),
+        )
+        caption = np.repeat(np.arange(len(records), dtype=np.int32), lengths)
+        return TokenTable(tokens=tuple(index), ids=ids, caption=caption)
+
+    @cached_property
     def _content_digest(self) -> str:
         import hashlib
 
-        # `json.dumps(..., ensure_ascii=False)` of each record's fields, with
-        # one encoder for all of them; a tuple encodes as a JSON array.
-        encode = json.JSONEncoder(ensure_ascii=False).encode
+        # The bytes of `json.dumps(fields, ensure_ascii=False)` for each
+        # record's fields, in `caption_id` order, with each distinct token and
+        # value quoted once: items are joined by ", " and None is `null`.
+        quoted = _Quoted()
+        human, model = (encode_basestring(s.value) for s in (Source.HUMAN, Source.MODEL))
+        attribute = {v: encode_basestring(v) for v in self.attribute_spec.values}
+        attribute[None] = "null"
         digest = hashlib.sha256()
-        for record in sorted(self.records, key=lambda r: r.caption_id):
-            digest.update(encode((
-                record.caption_id, record.image_id, record.tokens,
-                record.source.value, record.attribute,
-            )).encode("utf-8"))
+        for r in sorted(self.records, key=attrgetter("caption_id")):
+            digest.update((
+                f"[{encode_basestring(r.caption_id)}, {encode_basestring(r.image_id)}, "
+                f"[{', '.join(map(quoted.__getitem__, r.tokens))}], "
+                f"{human if r.source is Source.HUMAN else model}, {attribute[r.attribute]}]"
+            ).encode("utf-8"))
         return digest.hexdigest()
 
     @cached_property
@@ -157,13 +200,29 @@ class Corpus:
         `attribute_spec.values`; -1 where it names none, -2 where it names
         more than one (`Masker.mention`)."""
         # masking imports this module
-        from capbias.masking import Masker
+        from capbias.masking import MIXED_MENTION, NO_MENTION, Masker
 
-        mention = Masker(self.attribute_spec).mention
-        return np.fromiter(
-            (mention(record.tokens) for record in self.records),
-            dtype=np.int64, count=len(self.records),
+        # One token names at most one value, since the word lists are
+        # disjoint, and only an attribute word names one; a caption's count
+        # per value is one bincount over the tokens that name one.
+        masker = Masker(self.attribute_spec)
+        table = self.token_table
+        n_values = len(self.attribute_spec.values)
+        value = np.fromiter(
+            (masker.mention((token,)) if token in masker.all_words else NO_MENTION
+             for token in table.tokens),
+            dtype=np.intp, count=len(table.tokens),
         )
+        at = np.flatnonzero((value >= 0)[table.ids])
+        present = np.bincount(
+            table.caption[at] * n_values + value[table.ids[at]],
+            minlength=len(self.records) * n_values,
+        ).reshape(len(self.records), n_values) > 0
+        n_named = present.sum(axis=1)
+        return np.where(
+            n_named > 1, MIXED_MENTION,
+            np.where(n_named == 1, present.argmax(axis=1), NO_MENTION),
+        ).astype(np.int64, copy=False)
 
     @cached_property
     def labels(self) -> np.ndarray:

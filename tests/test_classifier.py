@@ -247,8 +247,8 @@ class TestAdamReference:
         vocabulary = build_vocab([words], mask_token="<gender>")
         rng = np.random.default_rng(11)
         # 3 classes; 45 sequences in batches of 8 leave a last batch of 5;
-        # embed_dim 32 gives about 10,000 parameters, more than one chunk of
-        # the Adam update.
+        # embed_dim 32 gives about 10,000 parameters, within one chunk of the
+        # Adam update (the case below spans several).
         sequences = [
             rng.integers(3, len(vocabulary), size=int(rng.integers(1, 9))).tolist()
             for _ in range(45)
@@ -264,6 +264,30 @@ class TestAdamReference:
             assert np.array_equal(fast.params[key], slow.params[key]), key
         assert fast.training_log == slow.training_log
         assert len(fast.training_log) == 3
+
+    @pytest.mark.parametrize("encoder,hidden_dim", [("bag_mean", 1100), ("birecurrent", 160)])
+    def test_dense_parameters_past_several_chunks(self, encoder, hidden_dim):
+        words = [f"v{i}" for i in range(40)]
+        vocabulary = build_vocab([words], mask_token="<gender>")
+        rng = np.random.default_rng(12)
+        sequences = [
+            rng.integers(3, len(vocabulary), size=int(rng.integers(1, 7))).tolist()
+            for _ in range(21)
+        ]
+        labels = [int(seq[0]) % 3 for seq in sequences]
+        config = small_config(encoder_kind=encoder, embed_dim=64, hidden_dim=hidden_dim,
+                              epochs=2, batch_size=8, seed=5)
+        fast = train(init_classifier(config, vocabulary, 3), Packed.from_lists(sequences),
+                     labels)
+        slow = reference_train(init_classifier(config, vocabulary, 3), sequences, labels)
+        # the parameters outside the embedding take the dense Adam path
+        dense = sum(value.size for key, value in slow.params.items() if key != "embed")
+        assert dense > 2 * ADAM_CHUNK
+        assert list(fast.params) == list(slow.params)
+        for key in slow.params:
+            assert np.array_equal(fast.params[key], slow.params[key]), key
+        assert fast.training_log == slow.training_log
+        assert len(fast.training_log) == 2
 
 
 # At this embed_dim a chunk of the Adam update is 16 embedding rows, so the

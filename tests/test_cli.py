@@ -722,6 +722,39 @@ class TestReport:
         )
         assert main(args) == EXIT_NUMERICAL
 
+    def test_standard_output_without_out_is_the_json_report(self, synth_dir, tmp_path,
+                                                            capsys):
+        args = self._report_args(
+            synth_dir, tmp_path / "r.json", "ba",
+            extra=["--config", str(self._task_word_config(tmp_path))],
+        )
+        assert main(args) == EXIT_OK
+        written = json.loads((tmp_path / "r.json").read_text())
+        capsys.readouterr()
+        # without --out and without --quiet: only the report, as JSON
+        at = args.index("--out")
+        del args[at:at + 3]
+        assert main(args) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        assert printed.pop("timestamp") and written.pop("timestamp")
+        assert printed == written
+
+    def test_out_prints_the_path_and_a_table_unless_quiet(self, synth_dir, tmp_path,
+                                                          capsys):
+        out = tmp_path / "r.json"
+        args = self._report_args(
+            synth_dir, out, "ba",
+            extra=["--config", str(self._task_word_config(tmp_path))],
+        )
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        args.remove("--quiet")
+        assert main(args) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"report -> {out}"
+        assert lines[1].split() == ["metric", "mean", "std"]
+        assert lines[2].split()[0] == "ba"
+
 
 @pytest.mark.skipif(
     not Path("/proc/self/status").exists() or (os.cpu_count() or 1) < 2,
@@ -742,6 +775,70 @@ def test_capbias_threads_caps_blas_threads():
         text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "1"
+
+
+def _coco_shaped_inputs(directory):
+    """A small COCO-shaped pair: three human captions and one model caption
+    per image, gender words on both sides, several object labels per image,
+    and a lexicon whose labels have several forms, some of them shared."""
+    import random
+
+    rng = random.Random(3)
+    words = {"female": ["woman", "girl", "her"], "male": ["man", "boy", "his"]}
+    lexicon = {"dog": ["puppy", "dogs"], "cat": ["kitten", "cats"], "kite": ["kites"],
+               "bench": ["seat"], "tree": ["seat", "trees"], "ball": ["puppy"]}
+    vocabulary = ["a", "the", "on", "park", "street", "grass", *lexicon,
+                  *{form for forms in lexicon.values() for form in forms}]
+    annotations, objects, sides = [], [], {"human": [], "model": []}
+    for i in range(80):
+        value = rng.choice(["female", "male"])
+        other = "male" if value == "female" else "female"
+        annotations.append({"image_id": f"i{i}", "attribute": value})
+        objects.append({"image_id": f"i{i}", "objects": rng.sample(sorted(lexicon), 3)})
+        for source, n in (("human", 3), ("model", 1)):
+            for k in range(n):
+                tokens = rng.choices(vocabulary, k=rng.randint(4, 8))
+                if rng.random() < 0.7:
+                    tokens.append(rng.choice(words[value]))
+                if rng.random() < 0.15:
+                    tokens.append(rng.choice(words[other]))
+                sides[source].append({"caption_id": f"{source}{i}-{k}", "image_id": f"i{i}",
+                                      "source": source, "caption": " ".join(tokens)})
+    paths = {name: directory / name for name in (
+        "human.jsonl", "model.jsonl", "annotations.jsonl", "objects.jsonl", "lexicon.json")}
+    write_jsonl(paths["human.jsonl"], sides["human"])
+    write_jsonl(paths["model.jsonl"], sides["model"])
+    write_jsonl(paths["annotations.jsonl"], annotations)
+    write_jsonl(paths["objects.jsonl"], objects)
+    paths["lexicon.json"].write_text(json.dumps(lexicon))
+    return paths
+
+
+def test_cooccurrence_report_does_not_depend_on_the_hash_seed(tmp_path):
+    """Object label sets and lexicon form sets iterate in an order set by the
+    hash seed; the report must not follow it."""
+    paths = _coco_shaped_inputs(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(capbias.__file__).parents[1])}
+    reports = []
+    for hash_seed in ("0", "1"):  # one after the other
+        out = tmp_path / f"report-{hash_seed}.json"
+        subprocess.run(
+            [sys.executable, "-m", "capbias.cli", "report",
+             "--metrics", "ba,dba_g,dba_o,ratio,error",
+             "--human-captions", str(paths["human.jsonl"]),
+             "--generated-captions", str(paths["model.jsonl"]),
+             "--annotations", str(paths["annotations.jsonl"]),
+             "--objects", str(paths["objects.jsonl"]),
+             "--object-lexicon", str(paths["lexicon.json"]),
+             "--top-k", "20", "--min-per-value", "1",
+             "--out", str(out), "--quiet"],
+            env={**env, "PYTHONHASHSEED": hash_seed}, check=True, timeout=120,
+        )
+        report = json.loads(out.read_text())
+        del report["timestamp"]
+        reports.append(report)
+    assert set(reports[0]["metrics"]) == {"ba", "dba_g", "dba_o", "ratio", "error"}
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,

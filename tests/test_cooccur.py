@@ -660,6 +660,26 @@ class TestInvariants:
         backward = ratio(_corpus_with_objects(swapped, rows))
         assert backward == pytest.approx(1 / forward, rel=1e-15)
 
+    @settings(max_examples=150, deadline=None)
+    @given(human=records_st, generated=records_st, words=words_st,
+           names=st.lists(st.text(min_size=1, max_size=8), min_size=2, max_size=2,
+                          unique=True))
+    def test_renaming_the_values_changes_nothing(self, human, generated, words, names):
+        rename = dict(zip(SPEC.values, names))
+        renamed = replace(
+            SPEC, values=tuple(names),
+            word_lists={rename[v]: w for v, w in SPEC.word_lists.items()},
+        )
+
+        def pair(spec, rename):
+            return [
+                _corpus_with_objects(spec, [(t, rename[a], o) for t, a, o in rows])
+                for rows in (human, generated)
+            ]
+
+        same = {v: v for v in SPEC.values}
+        assert _metrics(*pair(renamed, rename), words) == _metrics(*pair(SPEC, same), words)
+
 
 class TestRatioErrorOracle:
     @settings(max_examples=150, deadline=None)

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from capbias.corpus import (
     AttributeSpec,
+    CaptionRecord,
+    Corpus,
     CorpusError,
+    Source,
     balanced_image_split,
     load_corpus,
     tokenize,
@@ -276,6 +279,65 @@ def test_content_hash_is_sha256_of_json_records(plain_spec):
     # the digest of these records before the hash took one encoder per corpus
     assert corpus.content_hash() == (
         "d9066db6f4cc0ad8a28a044e5e18a7499a872ba088e64fa92167482ddbf65549"
+    )
+
+
+def json_records_digest(corpus):
+    """Oracle: sha256 over `json.dumps(fields, ensure_ascii=False)` of each
+    record, in `caption_id` order."""
+    digest = hashlib.sha256()
+    for record in sorted(corpus.records, key=lambda r: r.caption_id):
+        digest.update(json.dumps(
+            [record.caption_id, record.image_id, list(record.tokens),
+             record.source.value, record.attribute],
+            ensure_ascii=False,
+        ).encode("utf-8"))
+    return digest.hexdigest()
+
+
+# Characters JSON escapes, characters it writes as they are, and non-BMP
+# ones; lone surrogates cannot be written as UTF-8 by either side.
+HASH_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "/", "\x00", "\x07", "\n", "\t", "\x1f", "\x7f",
+                         "é", "日", " ", "\U0001f600", "a"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@given(
+    st.lists(
+        st.tuples(HASH_TEXT, HASH_TEXT, st.lists(HASH_TEXT, min_size=1, max_size=5),
+                  st.sampled_from([None, "female", "male"]), st.booleans()),
+        min_size=1, max_size=6, unique_by=lambda caption: caption[0],
+    )
+)
+def test_content_hash_equals_json_dumps_oracle(captions):
+    spec = AttributeSpec(name="gender", values=("female", "male"), mask_token="<gender>")
+    records = tuple(
+        CaptionRecord(cid, img, tuple(tokens), Source.MODEL if model else Source.HUMAN, attr)
+        for cid, img, tokens, attr, model in captions
+    )
+    corpus = Corpus(records=records, attribute_spec=spec)
+    assert corpus.content_hash() == json_records_digest(corpus)
+
+
+# Repeated tokens and images, a model source, no attribute, and fields JSON
+# escapes; the digest is the one the per-record JSON encoder gave.
+FIXED_CAPTIONS = [
+    ("b7", "img/1", ["a", "man", "and", "a", "dog"], "male"),
+    ('a"q', "img/1", ["a", "woman", "says", '"hi"'], None),
+    ("a\\b", "imgé2", ["new\nline", "café", "\U0001f431", "a"], "female"),
+    ("日本", "img/3", ["\x00nul", "tab\t", "a"], "male"),
+]
+
+
+def test_content_hash_of_a_fixed_corpus_is_pinned(plain_spec):
+    corpus = make_corpus(plain_spec, FIXED_CAPTIONS, Source.MODEL)
+    assert corpus.content_hash() == json_records_digest(corpus) == (
+        "4d884e07dfba256dad85377e015f14138903eb55e8fa24324efa2a5b763acef0"
     )
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from capbias.masking import (
     load_word_list_file,
     pluralize,
 )
+from conftest import make_corpus
 
 
 class TestPlurals:
@@ -118,6 +120,25 @@ def test_mention_and_mask_match_brute_force(tokens):
     assert masker.mask(tokens) == tuple(
         "<size>" if t in attribute_words else t for t in tokens
     )
+
+
+@given(st.lists(st.lists(st.sampled_from(
+    ["tiny", "tinies", "little", "mid", "mids", "huge", "box", "boxes",
+     "dog", "tree", "<size>"]), min_size=1, max_size=6), max_size=8))
+def test_corpus_mentions_match_mention_of_each_caption(captions):
+    """`Corpus.mentions`, counted over the token table, against `mention` of
+    each caption; the table's ids and caption index give back every caption."""
+    corpus = make_corpus(THREE_VALUES, [
+        (f"c{i}", f"i{i}", tokens, None) for i, tokens in enumerate(captions)
+    ])
+    masker = Masker(THREE_VALUES)
+    assert corpus.mentions.tolist() == [masker.mention(r.tokens) for r in corpus.records]
+    assert corpus.mentions.dtype == np.int64
+    table = corpus.token_table
+    assert list(table.tokens) == list(dict.fromkeys(t for tokens in captions for t in tokens))
+    assert table.ids.dtype == table.caption.dtype == np.int32
+    assert [tuple(table.tokens[i] for i in table.ids[table.caption == c])
+            for c in range(len(captions))] == [tuple(tokens) for tokens in captions]
 
 
 def test_disjointness_enforced_after_expansion():
