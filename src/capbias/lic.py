@@ -9,7 +9,6 @@ captions cannot benefit from a richer word inventory.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import statistics
 from dataclasses import dataclass, field, replace
@@ -66,14 +65,11 @@ class MetricReport:
         cls, name: str, samples: Sequence[float], provenance: dict
     ) -> "MetricReport":
         samples = tuple(float(s) for s in samples)
-        std = statistics.stdev(samples) if len(samples) > 1 else None
-        if std is None:
-            logger.warning("metric %s ran with a single seed; std undefined", name)
         return cls(
             name=name,
             per_seed=samples,
             mean=statistics.fmean(samples),
-            std=std,
+            std=statistics.stdev(samples) if len(samples) > 1 else None,
             provenance=dict(provenance),
         )
 
@@ -116,11 +112,13 @@ def lic(lic_m: float, lic_d: float) -> float:
 
 
 class _Encoded(NamedTuple):
-    """A corpus's captions as report-wide ids, in `caption_id` order."""
+    """A corpus's captions, in record order, as ids into its token table."""
 
-    ids: clf.Packed  # token ids
+    ids: clf.Packed  # token table ids
+    report_ids: np.ndarray  # int32, each distinct token's report-wide id after masking
     images: np.ndarray  # each caption's image, as its index in the report's image ids
     labels: np.ndarray  # index of each caption's attribute value, -1 for none
+    labelled: np.ndarray  # the captions with a label, in `caption_id` order
 
 
 def _encode_corpus(
@@ -128,37 +126,27 @@ def _encode_corpus(
     masker: Masker,
     token_ids: dict[str, int],
     image_ids: dict[str, int],
-) -> tuple[list[tuple[str, ...]], _Encoded]:
-    """Mask every caption once and intern its tokens and image; new tokens
-    and images get the next id in `token_ids` / `image_ids`. Returns the
-    masked captions and their encoding, both in `caption_id` order.
+) -> _Encoded:
+    """Mask the corpus's distinct tokens once and intern them and its images;
+    new tokens and images get the next id in `token_ids` / `image_ids`.
 
-    Training batches follow row order, so taking the records by id makes the
+    Training batches take the captions in `caption_id` order, which makes the
     numbers independent of the order of the lines of the captions file, as
     the corpus hash is."""
+    table = corpus.token_table
     records = corpus.records
-    order = None
-    if any(a.caption_id > b.caption_id for a, b in itertools.pairwise(records)):
-        order = sorted(range(len(records)), key=lambda i: records[i].caption_id)
-        records = [records[i] for i in order]
-    masked = [masker.mask(record.tokens) for record in records]
-    for token in dict.fromkeys(itertools.chain.from_iterable(masked)):
-        token_ids.setdefault(token, len(token_ids))
-    # Ids are read straight into the array: a Python list per caption would
-    # leave the heap fragmented around the objects kept for the whole report,
-    # and that showed as 1-2 MB more peak RSS.
-    lengths = np.fromiter(map(len, masked), dtype=np.int64, count=len(masked))
-    tokens = np.fromiter(
-        map(token_ids.__getitem__, itertools.chain.from_iterable(masked)),
-        dtype=np.int32, count=int(lengths.sum()),
+    # No caption is empty, so caption i starts at the first i in `table.caption`.
+    starts = np.searchsorted(table.caption, np.arange(len(records) + 1, dtype=np.int32))
+    masked = masker.mask(table.tokens)
+    labelled = sorted(np.flatnonzero(corpus.labels >= 0), key=lambda i: records[i].caption_id)
+    return _Encoded(
+        clf.Packed(table.ids, starts[:-1], np.diff(starts)),
+        np.array([token_ids.setdefault(t, len(token_ids)) for t in masked], dtype=np.int32),
+        np.array([image_ids.setdefault(r.image_id, len(image_ids)) for r in records],
+                 dtype=np.int64),
+        corpus.labels,
+        np.array(labelled, dtype=np.intp),
     )
-    ids = clf.Packed(tokens, np.cumsum(lengths) - lengths, lengths)
-    images = np.array(
-        [image_ids.setdefault(r.image_id, len(image_ids)) for r in records],
-        dtype=np.int64,
-    )
-    labels = corpus.labels if order is None else corpus.labels[order]
-    return masked, _Encoded(ids, images, labels)
 
 
 def run_protocol(
@@ -187,16 +175,14 @@ def run_protocol(
                 f"image {image_id!r} annotated inconsistently across corpora"
             )
 
-    # Every caption is masked and interned once per report; each seed then
-    # selects its rows with numpy and maps the report-wide token ids to the
-    # seed's vocabulary through one lookup array.
-    # Only the generated side's masked captions are read again, to build each
-    # seed's vocabulary; the human side's are dropped here.
+    # Each corpus's distinct tokens are masked and interned once per report;
+    # each seed then selects its rows with numpy and maps the report-wide
+    # token ids to the seed's vocabulary through one lookup array.
     token_ids: dict[str, int] = {}
     image_ids: dict[str, int] = {}
-    human = _encode_corpus(human_corpus, masker, token_ids, image_ids)[1]
-    gen_masked, generated = _encode_corpus(generated_corpus, masker, token_ids, image_ids)
-    tokens = tuple(token_ids)
+    human = _encode_corpus(human_corpus, masker, token_ids, image_ids)
+    generated = _encode_corpus(generated_corpus, masker, token_ids, image_ids)
+    tokens = np.array(list(token_ids), dtype=object)
 
     samples: dict[str, list[float]] = {
         name: [] for name in ("lic_d", "lic_m", "lic", "sc", "leakage")
@@ -213,12 +199,18 @@ def run_protocol(
         in_test = np.zeros(len(image_ids), dtype=bool)
         in_test[[image_ids[i] for i in test_ids]] = True
 
-        gen_train_masked = [
-            gen_masked[i] for i in np.flatnonzero(in_train[generated.images])
-        ]
-        if not gen_train_masked:
+        gen_train = in_train[generated.images]
+        if not gen_train.any():
             raise CorpusError("generated corpus has no captions in the train split")
-        v_pre = build_vocab(gen_train_masked, mask_token=spec.mask_token)
+        # The masked tokens of the generated train captions, each distinct
+        # token repeated as often as they hold it: the counts `build_vocab`
+        # would take from the captions themselves.
+        counts = np.bincount(
+            generated.ids.tokens[np.repeat(gen_train, generated.ids.lengths)],
+            minlength=len(generated.report_ids),
+        )
+        v_pre = build_vocab([tokens[generated.report_ids].repeat(counts)],
+                            mask_token=spec.mask_token)
         # The mask token is always in v_pre, so aligning a token and encoding
         # it gives the index that encoding it alone gives: the lookup serves
         # the unaligned generated side too.
@@ -228,11 +220,12 @@ def run_protocol(
 
         run_config = replace(config.classifier, seed=init_seed)
         sides = {}
-        for which, (ids, images, labels) in (("d", human), ("m", generated)):
-            mapped = lookup[ids.tokens]
-            labelled = labels >= 0
-            train_rows = np.flatnonzero(in_train[images] & labelled)
-            test_rows = np.flatnonzero(in_test[images] & labelled)
+        for which, (ids, report_ids, images, labels, labelled) in (
+            ("d", human), ("m", generated)
+        ):
+            mapped = lookup[report_ids][ids.tokens]
+            train_rows = labelled[in_train[images[labelled]]]
+            test_rows = labelled[in_test[images[labelled]]]
             train_x = clf.Packed(mapped, ids.offsets[train_rows], ids.lengths[train_rows])
             test_x = clf.Packed(mapped, ids.offsets[test_rows], ids.lengths[test_rows])
             test_y = labels[test_rows]
@@ -265,6 +258,9 @@ def run_protocol(
         },
         "scale": "x100",
     }
+    if config.n_seeds == 1:
+        logger.warning("metrics %s ran with a single seed; std undefined",
+                       ", ".join(samples))
     return {
         name: MetricReport.from_samples(name, values, provenance)
         for name, values in samples.items()

@@ -78,11 +78,7 @@ class Masker:
             )
 
     def mask(self, tokens: Sequence[str]) -> tuple[str, ...]:
-        """The caption with every attribute word replaced by the mask token.
-
-        A tuple with nothing to mask is returned as it is (`tuple` of a tuple
-        is that tuple), so callers that keep masked captions hold no copies
-        of unchanged ones."""
+        """The caption with every attribute word replaced by the mask token."""
         words = self.all_words
         if words.isdisjoint(tokens):
             return tuple(tokens)

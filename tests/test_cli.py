@@ -864,3 +864,33 @@ def test_lic_report_same_with_one_and_two_blas_threads(synth_dir, tmp_path, enco
         del report["timestamp"]
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("encoder", ["bag_mean", "birecurrent"])
+def test_lic_report_does_not_depend_on_the_heap_layout(synth_dir, tmp_path, encoder):
+    """The same report under three allocators: glibc's default, glibc with
+    every allocation mapped on its own, and Python's small-object allocator
+    switched off. A read of memory the program never wrote, or a result that
+    follows addresses, would show as a difference."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("MALLOC_MMAP_THRESHOLD_", "PYTHONMALLOC")}
+    env["PYTHONPATH"] = str(Path(capbias.__file__).parents[1])
+    layouts = {"default": {}, "mmap": {"MALLOC_MMAP_THRESHOLD_": "0"},
+               "malloc": {"PYTHONMALLOC": "malloc"}}
+    reports = []
+    for name, extra in layouts.items():  # one after the other
+        out = tmp_path / f"report-{name}.json"
+        subprocess.run(
+            [sys.executable, "-m", "capbias.cli", "report", "--metrics", "lic,sc,leakage",
+             "--human-captions", str(synth_dir / "human_captions.jsonl"),
+             "--generated-captions", str(synth_dir / "generated_captions.jsonl"),
+             "--annotations", str(synth_dir / "annotations.jsonl"),
+             "--encoder", encoder, "--n-seeds", "2", "--epochs", "2",
+             "--out", str(out), "--quiet"],
+            env={**env, **extra}, check=True, timeout=300,
+        )
+        report = json.loads(out.read_text())
+        del report["timestamp"]
+        reports.append(report)
+    assert set(reports[0]["metrics"]) == {"lic_d", "lic_m", "lic", "sc", "leakage"}
+    assert reports[0] == reports[1] == reports[2]

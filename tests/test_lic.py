@@ -1,14 +1,17 @@
 import dataclasses
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capbias import classifier as clf
 from capbias import lic as lic_module
 from capbias.classifier import ClassifierConfig
-from capbias.corpus import CorpusError, Source, balanced_image_split
+from capbias.corpus import AttributeSpec, CorpusError, Source, balanced_image_split
 from capbias.lic import (
     MetricReport,
     ProtocolConfig,
@@ -83,12 +86,19 @@ class TestMetricReport:
         assert report.mean == pytest.approx(2.0)
         assert report.std == pytest.approx(1.0)  # sample (n-1) convention
 
-    def test_single_seed_flagged(self, caplog):
-        with caplog.at_level("WARNING"):
-            report = MetricReport.from_samples("x", [4.2], {})
+    def test_single_seed_flagged(self, small_pair, caplog):
+        report = MetricReport.from_samples("x", [4.2], {})
         assert report.std is None
         assert math.isclose(report.mean, 4.2)
-        assert any("single seed" in m for m in caplog.messages)
+        # One warning per protocol run names all five metrics.
+        with caplog.at_level("WARNING"):
+            reports = run_protocol(*small_pair, small_protocol(n_seeds=1))
+        flagged = [m for m in caplog.messages if "single seed" in m]
+        assert len(flagged) == 1
+        assert all(name in flagged[0] for name in reports)
+        for report in reports.values():
+            assert report.std is None
+            assert report.mean == report.per_seed[0]
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +221,72 @@ def unpack(packed):
     return [packed.tokens[o:o + n].tolist() for o, n in zip(packed.offsets, packed.lengths)]
 
 
+def recorded_sets(human, generated, config, master_seed):
+    """Per seed and side, as `oracle_sets` gives them, the train and test
+    sequences and labels that `run_protocol` hands to the classifier."""
+    seen = []
+    train, predict = clf.train, clf.predict_proba
+
+    def record_train(model, sequences, labels, *args):
+        seen.append(("train", unpack(sequences), np.asarray(labels).tolist()))
+        return train(model, sequences, labels, *args)
+
+    def record_predict(model, sequences):
+        seen.append(("test", unpack(sequences)))
+        return predict(model, sequences)
+
+    def record_component(probs, labels):
+        seen.append(("score", np.asarray(labels).tolist()))
+        return lic_component(probs, labels)
+
+    with mock.patch.object(clf, "train", record_train), \
+            mock.patch.object(clf, "predict_proba", record_predict), \
+            mock.patch.object(lic_module, "lic_component", record_component):
+        run_protocol(human, generated, config, master_seed=master_seed)
+    assert [kind for kind, *_ in seen] == ["train", "test", "score"] * (2 * config.n_seeds)
+    return [
+        ((train_x, train_y), (test_x, test_y))
+        for (_, train_x, train_y), (_, test_x), (_, test_y)
+        in zip(seen[::3], seen[1::3], seen[2::3])
+    ]
+
+
+# The plain_spec fixture as a constant: hypothesis tests take no
+# function-scoped fixtures.
+SPEC = AttributeSpec(
+    name="gender", values=("female", "male"), mask_token="<gender>",
+    word_lists={"female": ("woman",), "male": ("man",)},
+    plural_overrides={"woman": "women", "man": "men"},
+)
+WORDS = ("a", "b", "c", "woman", "women", "man", "men", "<oov>", "<pad>", "<gender>")
+
+
+@st.composite
+def random_pairs(draw):
+    """Small corpora in shuffled lines: every annotated image has one labelled
+    caption per side, images may carry unlabelled captions on either side and
+    more human ones, and some images are human-only. Tokens mix content words,
+    attribute words and their plurals, and the literal special tokens."""
+    caption = st.lists(st.sampled_from(WORDS), min_size=1, max_size=5)
+    human, generated = [], []
+    for value in SPEC.values:
+        for i in range(draw(st.integers(2, 4))):
+            img = f"{value}{i}"
+            generated.append((img, draw(caption), value))
+            human.append((img, draw(caption), value))
+            for _ in range(draw(st.integers(0, 2))):
+                human.append((img, draw(caption), draw(st.sampled_from((value, None)))))
+            if draw(st.booleans()):
+                generated.append((img, draw(caption), None))
+    for i in range(draw(st.integers(0, 2))):
+        human.append((f"human_only{i}", draw(caption), draw(st.sampled_from(SPEC.values))))
+    corpora = []
+    for prefix, rows, source in (("h", human, Source.HUMAN), ("g", generated, Source.MODEL)):
+        rows = [(f"{prefix}{k}", *row) for k, row in enumerate(rows)]
+        corpora.append(make_corpus(SPEC, draw(st.permutations(rows)), source=source))
+    return tuple(corpora)
+
+
 @pytest.fixture
 def mixed_pair(plain_spec):
     """Hand-built corpora with what the protocol's encoding must get right:
@@ -248,45 +324,25 @@ class TestEncodeOnce:
         )
 
     @pytest.mark.parametrize("master_seed", [1, 3])
-    def test_sets_match_per_caption_encoding(self, mixed_pair, monkeypatch,
-                                             master_seed):
+    def test_sets_match_per_caption_encoding(self, mixed_pair, master_seed):
         human, generated = mixed_pair
         config = self._config(3)
-        seen = []
-        train, predict = clf.train, clf.predict_proba
-
-        def record_train(model, sequences, labels, *args):
-            seen.append(("train", unpack(sequences), np.asarray(labels).tolist()))
-            return train(model, sequences, labels, *args)
-
-        def record_predict(model, sequences):
-            seen.append(("test", unpack(sequences)))
-            return predict(model, sequences)
-
-        def record_component(probs, labels):
-            seen.append(("score", np.asarray(labels).tolist()))
-            return lic_component(probs, labels)
-
-        monkeypatch.setattr(clf, "train", record_train)
-        monkeypatch.setattr(clf, "predict_proba", record_predict)
-        monkeypatch.setattr(lic_module, "lic_component", record_component)
-        run_protocol(human, generated, config, master_seed=master_seed)
-
-        expected = oracle_sets(human, generated, config, master_seed)
-        assert [kind for kind, *_ in seen] == ["train", "test", "score"] * len(expected)
-        oov = 0
-        for (_, train_x, train_y), (_, test_x), (_, test_y), (train_set, test_set) in zip(
-            seen[::3], seen[1::3], seen[2::3], expected
-        ):
-            assert (train_x, train_y) == train_set
-            assert (test_x, test_y) == test_set
-            oov += sum(row.count(OOV_INDEX) for row in test_x)
+        sets = recorded_sets(human, generated, config, master_seed)
+        assert sets == oracle_sets(human, generated, config, master_seed)
         # Test images carry words the train split never saw.
-        assert oov > 0
+        assert sum(row.count(OOV_INDEX) for _, (test_x, _) in sets for row in test_x) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=random_pairs(), master_seed=st.integers(0, 2**32 - 1))
+    def test_sets_match_oracle_on_random_pairs(self, pair, master_seed):
+        human, generated = pair
+        config = self._config(2)
+        sets = recorded_sets(human, generated, config, master_seed)
+        assert sets == oracle_sets(human, generated, config, master_seed)
 
     @pytest.mark.parametrize("n_seeds", [1, 3])
-    def test_each_caption_masked_once_per_report(self, mixed_pair, monkeypatch,
-                                                 n_seeds):
+    def test_each_corpus_masked_once_per_report(self, mixed_pair, monkeypatch,
+                                                n_seeds):
         human, generated = mixed_pair
         calls = []
         mask = Masker.mask
@@ -297,4 +353,7 @@ class TestEncodeOnce:
 
         monkeypatch.setattr(Masker, "mask", counted)
         run_protocol(human, generated, self._config(n_seeds), master_seed=2)
-        assert len(calls) == len(human) + len(generated)
+        assert calls == [human.token_table.tokens, generated.token_table.tokens]
+        for corpus, tokens in zip((human, generated), calls):
+            assert len(set(tokens)) == len(tokens)
+            assert set(tokens) == {t for r in corpus.records for t in r.tokens}
