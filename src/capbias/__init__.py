@@ -2,6 +2,9 @@
 
 import os
 
+# The variables BLAS libraries read their thread count from when they load.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _cap_threads() -> None:
     """Apply CAPBIAS_THREADS to the BLAS and OpenMP thread pools.
@@ -13,7 +16,7 @@ def _cap_threads() -> None:
     n = os.environ.get("CAPBIAS_THREADS")
     if not n:
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in BLAS_THREAD_VARS:
         os.environ.setdefault(var, n)
 
 

@@ -9,18 +9,24 @@ captions cannot benefit from a richer word inventory.
 
 from __future__ import annotations
 
+import functools
 import logging
+import os
+import pickle
 import statistics
+import sys
+import traceback
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from capbias import BLAS_THREAD_VARS
 from capbias import classifier as clf
 from capbias.classifier import ClassifierConfig
 from capbias.corpus import Corpus, CorpusError, balanced_image_split
 from capbias.masking import Masker
-from capbias.vocab import align_to_prediction_vocab, build_vocab
+from capbias.vocab import Vocabulary, align_to_prediction_vocab, build_vocab
 
 logger = logging.getLogger(__name__)
 
@@ -149,6 +155,168 @@ def _encode_corpus(
     )
 
 
+class _Seed(NamedTuple):
+    """What one seed's two training jobs read, prepared in the parent."""
+
+    in_train: np.ndarray  # bool per report image
+    in_test: np.ndarray
+    vocabulary: Vocabulary
+    lookup: np.ndarray  # int32, each report-wide token id's index in `vocabulary`
+    config: ClassifierConfig
+
+
+def _rows(side: _Encoded, in_split: np.ndarray) -> np.ndarray:
+    """The side's labelled captions on the split's images, in `caption_id` order."""
+    return side.labelled[in_split[side.images[side.labelled]]]
+
+
+def _fit_and_predict(seed: _Seed, side: _Encoded, n_classes: int) -> np.ndarray:
+    """Train one side's classifier of one seed; its test-set confidences."""
+    ids = side.ids
+    mapped = seed.lookup[side.report_ids][ids.tokens]
+    train_rows = _rows(side, seed.in_train)
+    test_rows = _rows(side, seed.in_test)
+    model = clf.init_classifier(seed.config, seed.vocabulary, n_classes)
+    clf.train(model, clf.Packed(mapped, ids.offsets[train_rows], ids.lengths[train_rows]),
+              side.labels[train_rows])
+    return clf.predict_proba(
+        model, clf.Packed(mapped, ids.offsets[test_rows], ids.lengths[test_rows])
+    )
+
+
+class WorkerError(RuntimeError):
+    """A training worker died or failed outside its jobs: a program error."""
+
+
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a training worker."""
+
+
+def _n_workers(n_jobs: int) -> int:
+    """Processes that train: as many as the usable CPUs hold at the BLAS
+    threads each one runs, at most one per job and at most CAPBIAS_THREADS;
+    one where the platform cannot fork.
+
+    A process runs the largest count that `BLAS_THREAD_VARS` set, and every
+    usable CPU when they set none. Processes whose BLAS threads outnumber the
+    CPUs wait on each other's threads at every product.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    blas = [int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
+            if v and v.isdecimal() and int(v) > 0]
+    n = min(n_jobs, cpus // max(blas, default=cpus))
+    cap = os.environ.get("CAPBIAS_THREADS")
+    if cap:
+        if not (cap.isdecimal() and int(cap) > 0):
+            raise CorpusError(f"CAPBIAS_THREADS must be a positive integer, got {cap!r}")
+        n = min(n, int(cap))
+    return max(n, 1)
+
+
+def _run_share(jobs: list, share: list[int]):
+    """Yield (j, result, error) for each job j of `share`, in order. After a
+    job fails, the share's later jobs are skipped: none of them can come
+    before that failure in job order."""
+    for j in share:
+        try:
+            result, error = jobs[j](), None
+        except Exception as exc:
+            result, error = None, exc
+        yield j, result, error
+        if error is not None:
+            return
+
+
+def _work(jobs: list, share: list[int], read_fd: int, write_fd: int) -> None:
+    """A forked worker's whole life: run its share, send each outcome through
+    the pipe, and exit without returning into the parent's code."""
+    code = 1
+    try:
+        os.close(read_fd)
+        outcomes = [
+            (j, result, error,
+             None if error is None else "".join(traceback.format_exception(error)))
+            for j, result, error in _run_share(jobs, share)
+        ]
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcomes, protocol=pickle.HIGHEST_PROTOCOL))
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+        raise
+    finally:
+        os._exit(code)
+
+
+def _run_jobs(jobs: list, sizes: list[int], consume) -> None:
+    """Call every job and pass its result to `consume(j, result)` in job order.
+
+    The jobs run in W processes, W from `_n_workers`: this one and W - 1
+    workers forked once. Largest first, each job goes to the process with the
+    least work so far, so this process takes the largest; each process runs
+    its share in job order. A result reaches `consume` once every earlier
+    job's has. A failed job raises its exception once every earlier job has
+    succeeded, so the error raised is the first in job order, whatever W.
+    """
+    n = _n_workers(len(jobs))
+    shares: list[list[int]] = [[] for _ in range(n)]
+    loads = [0] * n
+    for j in sorted(range(len(jobs)), key=lambda j: -sizes[j]):
+        k = loads.index(min(loads))
+        shares[k].append(j)
+        loads[k] += sizes[j]
+    done: dict = {}
+    next_job = 0
+
+    def drain() -> None:
+        nonlocal next_job
+        while next_job in done:
+            result, error = done.pop(next_job)
+            if error is not None:
+                raise error
+            consume(next_job, result)
+            next_job += 1
+
+    workers = []  # (k, pid, pipe) of each worker not yet reaped
+    try:
+        for k in range(1, n):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(jobs, sorted(shares[k]), read_fd, write_fd)
+            os.close(write_fd)
+            workers.append((k, pid, os.fdopen(read_fd, "rb")))
+        for j, result, error in _run_share(jobs, sorted(shares[0])):
+            done[j] = result, error
+            drain()
+        while workers:
+            k, pid, pipe = workers[0]
+            with pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            if code:
+                how = (f"was killed by signal {-code}" if code < 0
+                       else f"exited with code {code}")
+                raise WorkerError(f"training worker {k} (pid {pid}) {how}")
+            for j, result, error, text in pickle.loads(payload):
+                if error is not None:
+                    error.__cause__ = _WorkerTraceback(text)
+                done[j] = result, error
+            drain()
+    finally:
+        if workers:
+            import signal
+
+            for _, pid, pipe in workers:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def run_protocol(
     human_corpus: Corpus,
     generated_corpus: Corpus,
@@ -160,8 +328,10 @@ def run_protocol(
     Per seed: balanced image split (shared by both corpora), model-side
     vocabulary from the masked generated train captions, vocabulary
     alignment of the human captions, one classifier per side, then LIC_D,
-    LIC_M, LIC, SC, and Leakage on the held-out test split. Any seed
-    failure aborts the whole run.
+    LIC_M, LIC, SC, and Leakage on the held-out test split. The parent
+    prepares every seed; the 2 x n_seeds trainings then run as jobs, in
+    forked workers where several CPUs are usable (`_run_jobs`), and are
+    scored here in (seed, side) order. Any seed failure aborts the whole run.
     """
     if human_corpus.attribute_spec != generated_corpus.attribute_spec:
         raise CorpusError("corpora must share the same attribute spec")
@@ -184,9 +354,7 @@ def run_protocol(
     generated = _encode_corpus(generated_corpus, masker, token_ids, image_ids)
     tokens = np.array(list(token_ids), dtype=object)
 
-    samples: dict[str, list[float]] = {
-        name: [] for name in ("lic_d", "lic_m", "lic", "sc", "leakage")
-    }
+    seeds = []
     for run in range(config.n_seeds):
         split_seed = derive_seed(master_seed, 3 * run)
         init_seed = derive_seed(master_seed, 3 * run + 1)
@@ -202,14 +370,17 @@ def run_protocol(
         gen_train = in_train[generated.images]
         if not gen_train.any():
             raise CorpusError("generated corpus has no captions in the train split")
-        # The masked tokens of the generated train captions, each distinct
-        # token repeated as often as they hold it: the counts `build_vocab`
-        # would take from the captions themselves.
+        # Each masked token's count over the generated train captions.
         counts = np.bincount(
-            generated.ids.tokens[np.repeat(gen_train, generated.ids.lengths)],
-            minlength=len(generated.report_ids),
-        )
-        v_pre = build_vocab([tokens[generated.report_ids].repeat(counts)],
+            generated.report_ids,
+            weights=np.bincount(
+                generated.ids.tokens[np.repeat(gen_train, generated.ids.lengths)],
+                minlength=len(generated.report_ids),
+            ),
+            minlength=len(tokens),
+        ).astype(np.int64)
+        held = np.flatnonzero(counts)
+        v_pre = build_vocab(dict(zip(tokens[held].tolist(), counts[held].tolist())),
                             mask_token=spec.mask_token)
         # The mask token is always in v_pre, so aligning a token and encoding
         # it gives the index that encoding it alone gives: the lookup serves
@@ -217,25 +388,30 @@ def run_protocol(
         lookup = np.array(
             v_pre.encode(align_to_prediction_vocab(tokens, v_pre)), dtype=np.int32
         )
+        seeds.append(_Seed(in_train, in_test, v_pre, lookup,
+                           replace(config.classifier, seed=init_seed)))
 
-        run_config = replace(config.classifier, seed=init_seed)
-        sides = {}
-        for which, (ids, report_ids, images, labels, labelled) in (
-            ("d", human), ("m", generated)
-        ):
-            mapped = lookup[report_ids][ids.tokens]
-            train_rows = labelled[in_train[images[labelled]]]
-            test_rows = labelled[in_test[images[labelled]]]
-            train_x = clf.Packed(mapped, ids.offsets[train_rows], ids.lengths[train_rows])
-            test_x = clf.Packed(mapped, ids.offsets[test_rows], ids.lengths[test_rows])
-            test_y = labels[test_rows]
-            model = clf.init_classifier(run_config, v_pre, len(spec.values))
-            clf.train(model, train_x, labels[train_rows])
-            probs = clf.predict_proba(model, test_x)
-            sides[which] = (lic_component(probs, test_y), sc_accuracy(probs, test_y))
+    # Job 2 * run trains seed run's data side ("d", human captions), job
+    # 2 * run + 1 its model side ("m", generated captions).
+    sides = (human, generated)
+    jobs = [functools.partial(_fit_and_predict, seed, side, len(spec.values))
+            for seed in seeds for side in sides]
+    sizes = [int(side.ids.lengths[_rows(side, seed.in_train)].sum())
+             for seed in seeds for side in sides]
+    scores = []
 
-        lic_d_value, lambda_d = sides["d"]
-        lic_m_value, lambda_m = sides["m"]
+    def score(j: int, probs: np.ndarray) -> None:
+        side = sides[j % 2]
+        test_y = side.labels[_rows(side, seeds[j // 2].in_test)]
+        scores.append((lic_component(probs, test_y), sc_accuracy(probs, test_y)))
+
+    _run_jobs(jobs, sizes, score)
+
+    samples: dict[str, list[float]] = {
+        name: [] for name in ("lic_d", "lic_m", "lic", "sc", "leakage")
+    }
+    for run in range(config.n_seeds):
+        (lic_d_value, lambda_d), (lic_m_value, lambda_m) = scores[2 * run:2 * run + 2]
         samples["lic_d"].append(lic_d_value)
         samples["lic_m"].append(lic_m_value)
         samples["lic"].append(lic(lic_m_value, lic_d_value))

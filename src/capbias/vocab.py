@@ -8,8 +8,7 @@ cannot inflate the measured gap between the two caption sets.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from capbias.corpus import CorpusError
 
@@ -57,20 +56,15 @@ class Vocabulary:
         return json.dumps(self._index, ensure_ascii=False, sort_keys=False)
 
 
-def build_vocab(token_lists: Iterable[Sequence[str]], mask_token: str) -> Vocabulary:
+def build_vocab(counts: Mapping[str, int], mask_token: str) -> Vocabulary:
     """Vocabulary of every token of the captions, plus specials.
 
-    Ordering is frequency descending with lexicographic tie-break, so the
-    result is deterministic for a given corpus.
+    `counts` maps each distinct token of the captions to its count. Ordering
+    is count descending with lexicographic tie-break, so the result is
+    deterministic for a given corpus.
     """
-    counts: Counter[str] = Counter()
-    n_captions = 0
-    for tokens in token_lists:
-        n_captions += 1
-        counts.update(tokens)
-    if n_captions == 0:
+    if not counts:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
-
     specials = {mask_token, OOV_TOKEN, PAD_TOKEN}
     kept = sorted(
         (t for t in counts if t not in specials),

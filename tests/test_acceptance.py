@@ -9,6 +9,7 @@ no-signal reference must stay near its theoretical value).
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ def test_criterion_06_leakage_null(capsys):
 
 
 def test_criterion_07_gradient_correctness(capsys):
-    vocabulary = build_vocab([[f"w{i}" for i in range(30)]], mask_token="<gender>")
+    vocabulary = build_vocab(Counter(f"w{i}" for i in range(30)), mask_token="<gender>")
     rng = np.random.default_rng(3)
     worst = {}
     for encoder, tolerance in (("bag_mean", 1e-4), ("birecurrent", 1e-3)):
@@ -260,7 +261,7 @@ def test_criterion_08_masking_completeness(capsys):
 
 def test_criterion_09_vocabulary_alignment(capsys):
     covered = [f"known{i}" for i in range(15)]
-    v_pre = build_vocab([covered], mask_token="<gender>")
+    v_pre = build_vocab(Counter(covered), mask_token="<gender>")
     allowed = set(covered) | {v_pre.oov_token, v_pre.mask_token}
     rng = np.random.default_rng(4)
     pool = covered + [f"novel{i}" for i in range(15)] + ["<gender>"]

@@ -1,4 +1,5 @@
 import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,8 +26,7 @@ from capbias.vocab import PAD_INDEX, build_vocab
 
 @pytest.fixture(scope="module")
 def vocabulary():
-    tokens = [[f"w{i}" for i in range(20)]]
-    return build_vocab(tokens, mask_token="<gender>")
+    return build_vocab(Counter(f"w{i}" for i in range(20)), mask_token="<gender>")
 
 
 def small_config(**overrides):
@@ -244,7 +244,7 @@ class TestAdamReference:
     @pytest.mark.parametrize("encoder", ["bag_mean", "birecurrent"])
     def test_train_matches_per_key_adam(self, encoder):
         words = [f"v{i}" for i in range(300)]
-        vocabulary = build_vocab([words], mask_token="<gender>")
+        vocabulary = build_vocab(Counter(words), mask_token="<gender>")
         rng = np.random.default_rng(11)
         # 3 classes; 45 sequences in batches of 8 leave a last batch of 5;
         # embed_dim 32 gives about 10,000 parameters, within one chunk of the
@@ -268,7 +268,7 @@ class TestAdamReference:
     @pytest.mark.parametrize("encoder,hidden_dim", [("bag_mean", 1100), ("birecurrent", 160)])
     def test_dense_parameters_past_several_chunks(self, encoder, hidden_dim):
         words = [f"v{i}" for i in range(40)]
-        vocabulary = build_vocab([words], mask_token="<gender>")
+        vocabulary = build_vocab(Counter(words), mask_token="<gender>")
         rng = np.random.default_rng(12)
         sequences = [
             rng.integers(3, len(vocabulary), size=int(rng.integers(1, 7))).tolist()
@@ -297,7 +297,7 @@ WIDE_DIM = ADAM_CHUNK // 16
 
 @pytest.fixture(scope="module")
 def wide_vocabulary():
-    return build_vocab([[f"v{i}" for i in range(100)]], mask_token="<gender>")
+    return build_vocab(Counter(f"v{i}" for i in range(100)), mask_token="<gender>")
 
 
 class TestFirstReadOrder:
@@ -337,7 +337,7 @@ class TestFirstReadOrder:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_parameter_in_unread_row_names_key(self):
-        vocabulary = build_vocab([[f"w{i}" for i in range(20)] + ["unread"]],
+        vocabulary = build_vocab(Counter([f"w{i}" for i in range(20)] + ["unread"]),
                                  mask_token="<gender>")
         unread = vocabulary.encode(["unread"])[0]
         model = init_classifier(small_config(), vocabulary, 2)
@@ -512,7 +512,7 @@ class TestBirecurrentReference:
     @staticmethod
     def _setup(seed, n_captions, lengths, n_classes=3, **overrides):
         words = [f"v{i}" for i in range(40)]
-        vocabulary = build_vocab([words], mask_token="<gender>")
+        vocabulary = build_vocab(Counter(words), mask_token="<gender>")
         rng = np.random.default_rng(seed)
         sequences = [
             rng.integers(0, len(vocabulary), size=int(rng.integers(*lengths))).tolist()

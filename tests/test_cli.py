@@ -482,6 +482,8 @@ class TestReport:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(capbias.classifier, "predict_proba", counted)
+        # A forked worker's calls never reach the spy: train in this process.
+        monkeypatch.setenv("CAPBIAS_THREADS", "1")
         args = self._report_args(
             synth_dir, tmp_path / "r.json", "lic,sc,leakage",
             extra=["--config", str(self._task_word_config(tmp_path)),
@@ -841,29 +843,137 @@ def test_cooccurrence_report_does_not_depend_on_the_hash_seed(tmp_path):
     assert reports[0] == reports[1]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                    reason="needs at least two CPUs to run two BLAS threads")
-@pytest.mark.parametrize("encoder", ["bag_mean", "birecurrent"])
-def test_lic_report_same_with_one_and_two_blas_threads(synth_dir, tmp_path, encoder):
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _lic_inputs(directory, pair="synth"):
+    """The captions and annotations flags of the synthetic pair in
+    `directory`, or of a COCO-shaped pair written to it, whose human side has
+    three captions per image."""
+    if pair == "coco":
+        paths = _coco_shaped_inputs(directory)
+        files = [paths[name] for name in ("human.jsonl", "model.jsonl", "annotations.jsonl")]
+    else:
+        files = [directory / name for name in (
+            "human_captions.jsonl", "generated_captions.jsonl", "annotations.jsonl")]
+    flags = ("--human-captions", "--generated-captions", "--annotations")
+    return [arg for flag, path in zip(flags, files) for arg in (flag, str(path))]
+
+
+@pytest.mark.skipif(_usable_cpus() < 2,
+                    reason="needs two usable CPUs to run two BLAS threads or two workers")
+@pytest.mark.parametrize("encoder,n_seeds,pair", [
+    pytest.param("bag_mean", 1, "synth", id="bag_mean"),
+    pytest.param("birecurrent", 1, "synth", id="birecurrent"),
+    pytest.param("bag_mean", 3, "synth", id="bag_mean-3-seeds"),
+    pytest.param("birecurrent", 3, "synth", id="birecurrent-3-seeds"),
+    # three human captions per image: the jobs of one seed differ in size
+    pytest.param("bag_mean", 3, "coco", id="coco-bag_mean-3-seeds"),
+])
+def test_lic_report_same_with_one_and_two_blas_threads(synth_dir, tmp_path, encoder,
+                                                       n_seeds, pair):
+    """The same report from one BLAS thread in one process, two BLAS threads
+    in one process, and one BLAS thread in each of two training processes."""
     env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "CAPBIAS_THREADS")}
     env["PYTHONPATH"] = str(Path(capbias.__file__).parents[1])
+    inputs = _lic_inputs(synth_dir if pair == "synth" else tmp_path, pair)
+    runs = {
+        "one-thread": {"CAPBIAS_THREADS": "1"},
+        "two-threads": {"CAPBIAS_THREADS": "2"},
+        "two-workers": {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                        "MKL_NUM_THREADS": "1"},
+    }
     reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"report-{threads}.json"
+    for name, extra in runs.items():
+        out = tmp_path / f"report-{name}.json"
         subprocess.run(
-            [sys.executable, "-m", "capbias.cli", "report", "--metrics", "lic",
-             "--human-captions", str(synth_dir / "human_captions.jsonl"),
-             "--generated-captions", str(synth_dir / "generated_captions.jsonl"),
-             "--annotations", str(synth_dir / "annotations.jsonl"),
-             "--encoder", encoder, "--n-seeds", "1", "--epochs", "2",
+            [sys.executable, "-m", "capbias.cli", "report", "--metrics", "lic,sc,leakage",
+             *inputs, "--encoder", encoder, "--n-seeds", str(n_seeds), "--epochs", "2",
              "--out", str(out), "--quiet"],
-            env={**env, "CAPBIAS_THREADS": threads}, check=True, timeout=300,
+            env={**env, **extra}, check=True, timeout=300,
         )
         report = json.loads(out.read_text())
         del report["timestamp"]
         reports.append(report)
-    assert reports[0] == reports[1]
+    assert len(reports[0]["metrics"]["lic"]["per_seed"]) == n_seeds
+    assert reports[0] == reports[1] == reports[2]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTrainingWorkers:
+    """The trainings of a report in one process and in two. The worker count
+    is set directly, so that two workers run whatever the host's CPUs."""
+
+    @staticmethod
+    def _args(synth_dir, out, *extra):
+        return ["report", "--metrics", "lic,sc,leakage", *_lic_inputs(synth_dir),
+                "--n-seeds", "2", "--epochs", "1", "--out", str(out), "--quiet", *extra]
+
+    @staticmethod
+    def _workers(monkeypatch, n):
+        monkeypatch.setattr(capbias.lic, "_n_workers", lambda n_jobs: min(n_jobs, n))
+
+    def test_same_report_and_no_child_left(self, synth_dir, tmp_path, monkeypatch):
+        reports = []
+        for n in (1, 2):
+            self._workers(monkeypatch, n)
+            out = tmp_path / f"report-{n}.json"
+            assert main(self._args(synth_dir, out)) == EXIT_OK
+            _no_child_left()
+            report = json.loads(out.read_text())
+            del report["timestamp"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerical_failure_same_in_one_and_two_processes(self, synth_dir, tmp_path,
+                                                             monkeypatch, caplog):
+        errors = []
+        for n in (1, 2):
+            self._workers(monkeypatch, n)
+            caplog.clear()
+            args = self._args(synth_dir, tmp_path / "r.json", "--learning-rate", "1e200")
+            assert main(args) == EXIT_NUMERICAL
+            _no_child_left()
+            errors.append([r.getMessage() for r in caplog.records if r.levelname == "ERROR"])
+        assert len(errors[0]) == 1 and errors[0][0].startswith("numerical failure: ")
+        assert errors[0] == errors[1]
+
+    def test_killed_worker_is_a_program_error(self, synth_dir, tmp_path):
+        script = (
+            "import os, signal, sys\n"
+            "from capbias import classifier, cli, lic\n"
+            "parent, train = os.getpid(), classifier.train\n"
+            "def train_or_die(*args):\n"
+            "    if os.getpid() != parent:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return train(*args)\n"
+            "classifier.train = train_or_die\n"
+            "lic._n_workers = lambda n_jobs: min(n_jobs, 2)\n"
+            "try:\n"
+            "    sys.exit(cli.main(sys.argv[1:]))\n"
+            "finally:\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "    except ChildProcessError:\n"
+            "        print('no child left')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(capbias.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", script, *self._args(synth_dir, tmp_path / "r.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 1
+        assert re.search(r"WorkerError: training worker 1 \(pid \d+\) was killed by "
+                         r"signal 9", out.stderr)
+        assert out.stdout == "no child left\n"
 
 
 @pytest.mark.parametrize("encoder", ["bag_mean", "birecurrent"])

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
 import random
+from collections import Counter
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -205,8 +208,8 @@ def oracle_sets(human, generated, config, master_seed):
             derive_seed(master_seed, 3 * run),
         )
         v_pre = build_vocab(
-            [masker.mask(r.tokens) for r in generated.records
-             if r.image_id in train_ids],
+            Counter(chain.from_iterable(masker.mask(r.tokens) for r in generated.records
+                                        if r.image_id in train_ids)),
             mask_token=spec.mask_token,
         )
         for corpus, align in ((human, True), (generated, False)):
@@ -223,7 +226,8 @@ def unpack(packed):
 
 def recorded_sets(human, generated, config, master_seed):
     """Per seed and side, as `oracle_sets` gives them, the train and test
-    sequences and labels that `run_protocol` hands to the classifier."""
+    sequences and labels that `run_protocol` hands to the classifier. The
+    spies see only this process's calls, so the report trains in one."""
     seen = []
     train, predict = clf.train, clf.predict_proba
 
@@ -239,9 +243,11 @@ def recorded_sets(human, generated, config, master_seed):
         seen.append(("score", np.asarray(labels).tolist()))
         return lic_component(probs, labels)
 
-    with mock.patch.object(clf, "train", record_train), \
+    with pytest.MonkeyPatch.context() as monkeypatch, \
+            mock.patch.object(clf, "train", record_train), \
             mock.patch.object(clf, "predict_proba", record_predict), \
             mock.patch.object(lic_module, "lic_component", record_component):
+        monkeypatch.setenv("CAPBIAS_THREADS", "1")
         run_protocol(human, generated, config, master_seed=master_seed)
     assert [kind for kind, *_ in seen] == ["train", "test", "score"] * (2 * config.n_seeds)
     return [
@@ -357,3 +363,83 @@ class TestEncodeOnce:
         for corpus, tokens in zip((human, generated), calls):
             assert len(set(tokens)) == len(tokens)
             assert set(tokens) == {t for r in corpus.records for t in r.tokens}
+
+
+class TestRunJobs:
+    """`_run_jobs` in one process and in two, the second forked."""
+
+    @staticmethod
+    def _workers(monkeypatch, n):
+        monkeypatch.setattr(lic_module, "_n_workers", lambda n_jobs: min(n_jobs, n))
+
+    @staticmethod
+    def _no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_results_consumed_in_job_order(self, monkeypatch, n):
+        self._workers(monkeypatch, n)
+        parent = os.getpid()
+        jobs = [lambda j=j: (j, os.getpid() == parent) for j in range(7)]
+        consumed = []
+        lic_module._run_jobs(jobs, [3, 9, 1, 4, 4, 8, 2],
+                             lambda j, result: consumed.append((j, result)))
+        self._no_child_left()
+        assert [j for j, _ in consumed] == list(range(7))
+        assert [result[0] for _, result in consumed] == list(range(7))
+        # Largest first, each to the least loaded, ties to this process: it
+        # takes jobs 1 (size 9), 4 (4), 6 (2) and 2 (1), the worker 5 (8),
+        # 3 (4) and 0 (3).
+        in_parent = {j for j, (_, here) in consumed if here}
+        assert in_parent == ({1, 2, 4, 6} if n == 2 else set(range(7)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_failure_in_job_order_is_raised(self, monkeypatch, n):
+        self._workers(monkeypatch, n)
+
+        def fail(j):
+            raise clf.ClassifierError(f"job {j} failed")
+
+        # Job 2 is the largest, so this process runs it, and fails, before
+        # the worker reaches job 1.
+        jobs = [lambda: 0, lambda: fail(1), lambda: fail(2), lambda: 3]
+        consumed = []
+        with pytest.raises(clf.ClassifierError, match="^job 1 failed$"):
+            lic_module._run_jobs(jobs, [1, 1, 5, 1],
+                                 lambda j, result: consumed.append(j))
+        self._no_child_left()
+        assert consumed == [0]
+
+
+class TestWorkerCount:
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "CAPBIAS_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+
+    @pytest.mark.parametrize("env,n_jobs,expected", [
+        ({}, 6, 1),  # BLAS takes every CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 6, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+        ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, 6, 2),
+        ({"MKL_NUM_THREADS": "8"}, 6, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "CAPBIAS_THREADS": "3"}, 6, 3),
+        ({"CAPBIAS_THREADS": "1"}, 6, 1),
+        # as after CAPBIAS_THREADS filled in the BLAS variables at import
+        ({"CAPBIAS_THREADS": "2", "OMP_NUM_THREADS": "2"}, 6, 2),
+    ])
+    def test_worker_count(self, monkeypatch, env, n_jobs, expected):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert lic_module._n_workers(n_jobs) == expected
+
+    @pytest.mark.parametrize("value", ["0", "two", "-1"])
+    def test_bad_capbias_threads_is_an_input_error(self, monkeypatch, value):
+        monkeypatch.setenv("CAPBIAS_THREADS", value)
+        with pytest.raises(CorpusError, match="CAPBIAS_THREADS must be a positive integer"):
+            lic_module._n_workers(2)
