@@ -18,6 +18,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from capbias import cooccur, lic as lic_mod, masking, synth
 from capbias.classifier import ClassifierConfig, ClassifierError
 from capbias.corpus import (
@@ -305,12 +307,12 @@ def _load_side(args: argparse.Namespace, key: str, source: Source, metric: str,
     if path is None:
         raise CorpusError(f"metric {metric!r} requires the {key!r} input")
     corpus = load_corpus(path, args.annotations, spec, args.objects, **shared)
-    for record in corpus.records:
-        if record.source is not source:
-            raise CorpusError(
-                f"{path}: caption {record.caption_id!r} has source "
-                f"{record.source.value!r}, expected {source.value!r}"
-            )
+    wrong = np.flatnonzero(corpus.sources != source)
+    if wrong.size:
+        raise CorpusError(
+            f"{path}: caption {corpus.caption_ids[wrong[0]]!r} has source "
+            f"{corpus.sources[wrong[0]].value!r}, expected {source.value!r}"
+        )
     return corpus
 
 

@@ -105,7 +105,7 @@ def annotated(corpus: Corpus) -> np.ndarray:
     missing = np.flatnonzero(corpus.labels < 0)
     if missing.size:
         raise CorpusError(
-            f"record {corpus.records[missing[0]].caption_id!r} lacks an attribute "
+            f"record {corpus.caption_ids[missing[0]]!r} lacks an attribute "
             "annotation (required to count by annotation)"
         )
     return corpus.labels
@@ -184,27 +184,24 @@ def count_cooccurrence(
         if annotations is None:
             raise CorpusError("object-label counting requires object annotations")
         # each caption's image as its item, and each image's columns
-        image_ids = [r.image_id for r in corpus.records]
-        images = {image: k for k, image in enumerate(dict.fromkeys(image_ids))}
-        items = np.fromiter(
-            map(images.__getitem__, image_ids), dtype=np.int32, count=len(image_ids)
-        )
+        image_ids, items = corpus.image_ids, corpus.images
         missing = counted & np.array(
-            [image not in annotations for image in images], dtype=bool
+            [image not in annotations for image in image_ids], dtype=bool
         )[items]
         if missing.any():
             raise CorpusError(
-                f"image {image_ids[missing.argmax()]!r} has no object annotation"
+                f"image {image_ids[items[missing.argmax()]]!r} has no object annotation"
             )
-        caption = np.arange(len(image_ids), dtype=np.int32)
+        caption = np.arange(len(items), dtype=np.int32)
         item_columns = [
             [j for label in annotations.get(image, ()) for j in columns.get(label, ())]
-            for image in images
+            for image in image_ids
         ]
     else:
         # each token id as an item of its caption, and each token's columns
         table = corpus.token_table
-        caption, items = table.caption, table.ids
+        caption = np.repeat(np.arange(len(values), dtype=np.int32), np.diff(table.starts))
+        items = table.ids
         item_columns = [columns.get(token, ()) for token in table.tokens]
 
     # One key per (caption, value, column): where the caption's value row

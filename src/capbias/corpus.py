@@ -11,13 +11,14 @@ import enum
 import json
 import logging
 import re
+import string
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import islice
 from json.encoder import encode_basestring
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,7 +50,20 @@ def tokenize(text: str) -> list[str]:
     (and other internal characters) are preserved. Raises CorpusError if
     nothing survives.
     """
-    tokens = _WORD.findall(text.lower())
+    # `_WORD.findall`, piece by piece: [^\W_] is `str.isalnum()` and \s is
+    # `str.isspace()`, the characters `str.split()` splits on, so a piece
+    # holds at most one word, from its first to its last word character.
+    # Stripping ASCII punctuation keeps both, and often leaves only them.
+    tokens = []
+    for piece in text.lower().split():
+        if not piece.isalnum():
+            piece = piece.strip(string.punctuation)
+            if not piece.isalnum():
+                match = _WORD.search(piece)
+                if match is None:
+                    continue
+                piece = match.group()
+        tokens.append(piece)
     if not tokens:
         raise CorpusError(f"caption is empty after tokenization: {text!r}")
     return tokens
@@ -101,102 +115,168 @@ class CaptionRecord:
             raise CorpusError(f"record {self.caption_id!r} has no tokens")
 
 
-class _Quoted(dict):
-    """JSON string literals, each made once: `self[text]` is
-    `encode_basestring(text)`."""
+class _Ids(dict):
+    """Keys numbered in first-seen order: `self[key]` numbers a new key."""
 
-    def __missing__(self, text: str) -> str:
-        self[text] = literal = encode_basestring(text)
-        return literal
+    def __missing__(self, key) -> int:
+        self[key] = n = len(self)
+        return n
 
 
 class TokenTable(NamedTuple):
     """A corpus's tokens as ids: the distinct tokens in first-seen order, and
-    every caption's token ids, concatenated in record order, with the record
-    index of each."""
+    every caption's token ids, concatenated in caption order; caption i's ids
+    are `ids[starts[i]:starts[i + 1]]`, and no caption is empty."""
 
     tokens: tuple[str, ...]
-    ids: np.ndarray      # int32, an index into `tokens`
-    caption: np.ndarray  # int32, an index into `Corpus.records`
+    ids: np.ndarray     # int32, an index into `tokens`
+    starts: np.ndarray  # intp, one more than there are captions
 
 
-@dataclass(frozen=True)
+def _columns(captions: Iterable[tuple[str, str, Source, Sequence[str]]]) -> tuple:
+    """The `Corpus` columns up to `token_table`, of (caption id, image id,
+    source, tokens) rows."""
+    caption_ids, images, sources, ids, starts = [], [], [], [], [0]
+    image_ids, token_ids = _Ids(), _Ids()
+    for caption_id, image_id, source, tokens in captions:
+        caption_ids.append(caption_id)
+        images.append(image_ids[image_id])
+        sources.append(source)
+        ids.extend(map(token_ids.__getitem__, tokens))
+        starts.append(len(ids))
+    return (tuple(caption_ids), tuple(image_ids), np.array(images, dtype=np.int32),
+            np.array(sources, dtype=object),
+            TokenTable(tuple(token_ids), np.array(ids, dtype=np.int32),
+                       np.array(starts, dtype=np.intp)))
+
+
+class _Records(Sequence):
+    """A corpus's captions as `CaptionRecord`s, each made when it is read."""
+
+    def __init__(self, corpus: "Corpus"):
+        self._corpus = corpus
+
+    def __len__(self) -> int:
+        return len(self._corpus)
+
+    def __getitem__(self, i: int) -> CaptionRecord:
+        # `range` takes negative indices and raises IndexError past the end
+        corpus, i = self._corpus, range(len(self))[i]
+        table, label = corpus.token_table, corpus.labels[i]
+        ids = table.ids[table.starts[i]:table.starts[i + 1]].tolist()
+        return CaptionRecord(
+            corpus.caption_ids[i], corpus.image_ids[corpus.images[i]],
+            tuple(map(table.tokens.__getitem__, ids)), corpus.sources[i],
+            None if label < 0 else corpus.attribute_spec.values[label],
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """A set of caption records sharing one attribute spec."""
+    """Captions sharing one attribute spec, as columns in caption order."""
 
-    records: tuple[CaptionRecord, ...]
+    caption_ids: tuple[str, ...]
+    image_ids: tuple[str, ...]  # the distinct images, in first-seen order
+    images: np.ndarray  # int32, an index into `image_ids`
+    sources: np.ndarray  # object, each caption's `Source`
+    token_table: TokenTable
+    # int64, the annotated value as an index into `attribute_spec.values`;
+    # -1 for none
+    labels: np.ndarray
     attribute_spec: AttributeSpec
     object_annotations: Optional[Mapping[str, frozenset[str]]] = None
 
-    def __post_init__(self) -> None:
-        for record in self.records:
-            if record.attribute is not None and record.attribute not in self.attribute_spec.values:
+    @classmethod
+    def from_records(
+        cls,
+        records: Iterable[CaptionRecord],
+        attribute_spec: AttributeSpec,
+        object_annotations: Optional[Mapping[str, frozenset[str]]] = None,
+    ) -> "Corpus":
+        """The corpus of `records`, in their order."""
+        records = tuple(records)
+        value_index = {v: i for i, v in enumerate(attribute_spec.values)}
+        value_index[None] = -1
+        for record in records:
+            if record.attribute not in value_index:
                 raise CorpusError(
                     f"record {record.caption_id!r} carries attribute "
-                    f"{record.attribute!r} outside {self.attribute_spec.values}"
+                    f"{record.attribute!r} outside {attribute_spec.values}"
                 )
+        return cls(
+            *_columns((r.caption_id, r.image_id, r.source, r.tokens) for r in records),
+            np.array([value_index[r.attribute] for r in records], dtype=np.int64),
+            attribute_spec, object_annotations,
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.caption_ids)
+
+    @property
+    def records(self) -> Sequence[CaptionRecord]:
+        """The captions as records, made one at a time when read."""
+        return _Records(self)
 
     def annotation_map(self) -> dict[str, str]:
-        """image_id -> attribute value, for annotated records."""
+        """image_id -> attribute value, for annotated captions."""
         out: dict[str, str] = {}
-        for record in self.records:
-            if record.attribute is None:
-                continue
-            previous = out.setdefault(record.image_id, record.attribute)
-            if previous != record.attribute:
+        values = self.attribute_spec.values
+        labelled = self.labels >= 0
+        for image, label in zip(self.images[labelled].tolist(),
+                                self.labels[labelled].tolist()):
+            previous = out.setdefault(self.image_ids[image], values[label])
+            if previous != values[label]:
                 raise CorpusError(
-                    f"image {record.image_id!r} has conflicting attributes "
-                    f"{previous!r} and {record.attribute!r}"
+                    f"image {self.image_ids[image]!r} has conflicting attributes "
+                    f"{previous!r} and {values[label]!r}"
                 )
         return out
 
     def content_hash(self) -> str:
         return self._content_digest
 
-    # Records are immutable, so each of these is computed at most once per
+    # The columns are immutable, so each of these is computed at most once per
     # corpus and kept on the instance, which drops them with the corpus.
     @cached_property
-    def token_table(self) -> TokenTable:
-        """The records' tokens as ids into a table of distinct tokens."""
-        records = self.records
-        index = dict.fromkeys(chain.from_iterable(r.tokens for r in records))
-        for i, token in enumerate(index):
-            index[token] = i
-        lengths = np.fromiter((len(r.tokens) for r in records), dtype=np.intp,
-                              count=len(records))
-        ids = np.fromiter(
-            map(index.__getitem__, chain.from_iterable(r.tokens for r in records)),
-            dtype=np.int32, count=int(lengths.sum()),
-        )
-        caption = np.repeat(np.arange(len(records), dtype=np.int32), lengths)
-        return TokenTable(tokens=tuple(index), ids=ids, caption=caption)
+    def by_caption_id(self) -> np.ndarray:
+        """The captions' indices in `caption_id` order, ties in corpus order."""
+        ids = self.caption_ids
+        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
     @cached_property
     def _content_digest(self) -> str:
         import hashlib
 
         # The bytes of `json.dumps(fields, ensure_ascii=False)` for each
-        # record's fields, in `caption_id` order, with each distinct token and
-        # value quoted once: items are joined by ", " and None is `null`.
-        quoted = _Quoted()
-        human, model = (encode_basestring(s.value) for s in (Source.HUMAN, Source.MODEL))
-        attribute = {v: encode_basestring(v) for v in self.attribute_spec.values}
-        attribute[None] = "null"
+        # caption's fields, in `caption_id` order, a block of captions at a
+        # time; each distinct text is quoted once.
+        def quoted(texts, index, *extra):
+            """The JSON string of `texts[i]`, or `extra[i - len(texts)]`, for
+            each i of `index`."""
+            known = np.array([*map(encode_basestring, texts), *extra], dtype=object)
+            return known[index].tolist()
+
+        order, table = self.by_caption_id, self.token_table
+        words = quoted(table.tokens, table.ids)
+        fields = (
+            f"[{caption_id}, {image}, [{', '.join(words[start:end])}], {source}, {label}]"
+            for caption_id, image, start, end, source, label in zip(
+                map(encode_basestring, map(self.caption_ids.__getitem__, order.tolist())),
+                quoted(self.image_ids, self.images[order]),
+                table.starts[order].tolist(), table.starts[order + 1].tolist(),
+                map({s: encode_basestring(s.value) for s in Source}.__getitem__,
+                    self.sources[order].tolist()),
+                quoted(self.attribute_spec.values, self.labels[order], "null"),
+            )
+        )
         digest = hashlib.sha256()
-        for r in sorted(self.records, key=attrgetter("caption_id")):
-            digest.update((
-                f"[{encode_basestring(r.caption_id)}, {encode_basestring(r.image_id)}, "
-                f"[{', '.join(map(quoted.__getitem__, r.tokens))}], "
-                f"{human if r.source is Source.HUMAN else model}, {attribute[r.attribute]}]"
-            ).encode("utf-8"))
+        for block in iter(lambda: "".join(islice(fields, 256)), ""):
+            digest.update(block.encode("utf-8"))
         return digest.hexdigest()
 
     @cached_property
     def mentions(self) -> np.ndarray:
-        """Each record's explicitly mentioned attribute value, as an index into
+        """Each caption's explicitly mentioned attribute value, as an index into
         `attribute_spec.values`; -1 where it names none, -2 where it names
         more than one (`Masker.mention`)."""
         # masking imports this module
@@ -215,25 +295,15 @@ class Corpus:
         )
         at = np.flatnonzero((value >= 0)[table.ids])
         present = np.bincount(
-            table.caption[at] * n_values + value[table.ids[at]],
-            minlength=len(self.records) * n_values,
-        ).reshape(len(self.records), n_values) > 0
+            (np.searchsorted(table.starts, at, side="right") - 1) * n_values
+            + value[table.ids[at]],
+            minlength=len(self) * n_values,
+        ).reshape(len(self), n_values) > 0
         n_named = present.sum(axis=1)
         return np.where(
             n_named > 1, MIXED_MENTION,
             np.where(n_named == 1, present.argmax(axis=1), NO_MENTION),
         ).astype(np.int64, copy=False)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Each record's annotated attribute value, as an index into
-        `attribute_spec.values`; -1 where it has none."""
-        index = {v: i for i, v in enumerate(self.attribute_spec.values)}
-        index[None] = -1
-        return np.fromiter(
-            (index[record.attribute] for record in self.records),
-            dtype=np.int64, count=len(self.records),
-        )
 
 
 _DECODER = json.JSONDecoder()
@@ -330,59 +400,55 @@ def load_corpus(
     if objects is None and objects_path is not None:
         objects = load_object_annotations(objects_path)
 
-    records: list[CaptionRecord] = []
-    # one string object per distinct token, shared by every caption using it
-    interned: dict[str, str] = {}
     seen_ids: set[str] = set()
-    referenced_images: set[str] = set()
-    n_rejected = 0
-    required = ("caption_id", "image_id", "source", "caption")
-    for lineno, obj in _read_jsonl(captions_path, required):
-        caption_id = str(obj["caption_id"])
-        if caption_id in seen_ids:
-            raise CorpusError(
-                f"{captions_path}:{lineno}: duplicate caption_id {caption_id!r}"
-            )
-        seen_ids.add(caption_id)
-        image_id = str(obj["image_id"])
-        referenced_images.add(image_id)
-        try:
-            source = _SOURCES[obj["source"]]
-        except (KeyError, TypeError):  # TypeError: a JSON list or object
-            raise CorpusError(
-                f"{captions_path}:{lineno}: source must be 'human' or 'model'"
-            ) from None
-        try:
-            tokens = tokenize(str(obj["caption"]))
-        except CorpusError:
-            logger.warning(
-                "%s:%d: rejected caption %r (empty after tokenization)",
-                captions_path, lineno, caption_id,
-            )
-            n_rejected += 1
-            continue
-        # positional arguments cost about half of keywords per record
-        records.append(CaptionRecord(
-            caption_id, image_id, tuple(map(interned.setdefault, tokens, tokens)),
-            source, annotations.get(image_id),
-        ))
+    # images whose every caption was rejected are still referenced
+    rejected_images: set[str] = set()
 
-    stray = sorted(set(annotations) - referenced_images)
+    def captions():
+        required = ("caption_id", "image_id", "source", "caption")
+        for lineno, obj in _read_jsonl(captions_path, required):
+            caption_id = str(obj["caption_id"])
+            if caption_id in seen_ids:
+                raise CorpusError(
+                    f"{captions_path}:{lineno}: duplicate caption_id {caption_id!r}"
+                )
+            seen_ids.add(caption_id)
+            image_id = str(obj["image_id"])
+            try:
+                source = _SOURCES[obj["source"]]
+            except (KeyError, TypeError):  # TypeError: a JSON list or object
+                raise CorpusError(
+                    f"{captions_path}:{lineno}: source must be 'human' or 'model'"
+                ) from None
+            try:
+                tokens = tokenize(str(obj["caption"]))
+            except CorpusError:
+                logger.warning(
+                    "%s:%d: rejected caption %r (empty after tokenization)",
+                    captions_path, lineno, caption_id,
+                )
+                rejected_images.add(image_id)
+                continue
+            yield caption_id, image_id, source, tokens
+
+    columns = _columns(captions())
+    caption_ids, image_ids, images = columns[:3]
+    stray = sorted(set(annotations).difference(image_ids, rejected_images))
     if stray:
         raise CorpusError(
             f"{annotations_path}: annotations reference images with no "
             f"captions: {stray[:5]}{'...' if len(stray) > 5 else ''}"
         )
-
+    # the annotations hold only the spec's values (`load_annotations`)
+    value_index = {v: i for i, v in enumerate(attribute_spec.values)}
+    value_index[None] = -1
+    labels = np.array([value_index[annotations.get(i)] for i in image_ids],
+                      dtype=np.int64)[images]
     logger.info(
         "loaded %d records from %s (%d rejected)",
-        len(records), captions_path, n_rejected,
+        len(caption_ids), captions_path, len(seen_ids) - len(caption_ids),
     )
-    return Corpus(
-        records=tuple(records),
-        attribute_spec=attribute_spec,
-        object_annotations=objects,
-    )
+    return Corpus(*columns, labels, attribute_spec, objects)
 
 
 def balanced_image_split(

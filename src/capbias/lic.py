@@ -118,7 +118,7 @@ def lic(lic_m: float, lic_d: float) -> float:
 
 
 class _Encoded(NamedTuple):
-    """A corpus's captions, in record order, as ids into its token table."""
+    """A corpus's captions, in corpus order, as ids into its token table."""
 
     ids: clf.Packed  # token table ids
     report_ids: np.ndarray  # int32, each distinct token's report-wide id after masking
@@ -140,18 +140,16 @@ def _encode_corpus(
     numbers independent of the order of the lines of the captions file, as
     the corpus hash is."""
     table = corpus.token_table
-    records = corpus.records
-    # No caption is empty, so caption i starts at the first i in `table.caption`.
-    starts = np.searchsorted(table.caption, np.arange(len(records) + 1, dtype=np.int32))
     masked = masker.mask(table.tokens)
-    labelled = sorted(np.flatnonzero(corpus.labels >= 0), key=lambda i: records[i].caption_id)
+    order = corpus.by_caption_id
+    images = np.array([image_ids.setdefault(i, len(image_ids)) for i in corpus.image_ids],
+                      dtype=np.int64)
     return _Encoded(
-        clf.Packed(table.ids, starts[:-1], np.diff(starts)),
+        clf.Packed(table.ids, table.starts[:-1], np.diff(table.starts)),
         np.array([token_ids.setdefault(t, len(token_ids)) for t in masked], dtype=np.int32),
-        np.array([image_ids.setdefault(r.image_id, len(image_ids)) for r in records],
-                 dtype=np.int64),
+        images[corpus.images],
         corpus.labels,
-        np.array(labelled, dtype=np.intp),
+        order[corpus.labels[order] >= 0],
     )
 
 

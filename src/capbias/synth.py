@@ -109,7 +109,7 @@ def generate(
                 attribute=value,
             )
         )
-    return Corpus(records=tuple(records), attribute_spec=attribute_spec_for(spec))
+    return Corpus.from_records(records, attribute_spec_for(spec))
 
 
 def generate_pair(
@@ -157,21 +157,17 @@ def marker_task_words(spec: SynthSpec) -> tuple[str, ...]:
 
 def write_corpus_files(corpus: Corpus, captions_path: Path, annotations_path: Path) -> None:
     """Emit the JSON Lines formats consumed by the corpus loader."""
+    table = corpus.token_table
+    words = list(map(table.tokens.__getitem__, table.ids.tolist()))
+    starts = table.starts.tolist()
     with open(captions_path, "w", encoding="utf-8") as handle:
-        for record in corpus.records:
+        for i, caption_id in enumerate(corpus.caption_ids):
             handle.write(json.dumps({
-                "caption_id": record.caption_id,
-                "image_id": record.image_id,
-                "caption": " ".join(record.tokens),
-                "source": record.source.value,
+                "caption_id": caption_id,
+                "image_id": corpus.image_ids[corpus.images[i]],
+                "caption": " ".join(words[starts[i]:starts[i + 1]]),
+                "source": corpus.sources[i].value,
             }, ensure_ascii=False) + "\n")
-    seen: set[str] = set()
     with open(annotations_path, "w", encoding="utf-8") as handle:
-        for record in corpus.records:
-            if record.attribute is None or record.image_id in seen:
-                continue
-            seen.add(record.image_id)
-            handle.write(json.dumps({
-                "image_id": record.image_id,
-                "attribute": record.attribute,
-            }) + "\n")
+        for image_id, value in corpus.annotation_map().items():
+            handle.write(json.dumps({"image_id": image_id, "attribute": value}) + "\n")

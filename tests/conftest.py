@@ -35,7 +35,7 @@ def make_corpus(spec, captions, source=Source.HUMAN):
         )
         for cid, img, tokens, attr in captions
     )
-    return Corpus(records=records, attribute_spec=spec)
+    return Corpus.from_records(records, spec)
 
 
 def write_jsonl(path, rows):

@@ -80,6 +80,23 @@ class TestMask:
         assert row["caption"] == " ".join(tokens)
         assert row["n_masked"] == n_masked
 
+    def test_tokens_are_the_regex_words(self, tmp_path):
+        captions = ["Σίσυφος İstanbul, ½-price!", "snake_case _x_ '90s. --",
+                    "a\u3000b\x1cc\x85d\xa0e", "e\u0301t\u00e9 \u0660\u0661 \u216b.",
+                    "(dog's) [cat] ...man..."]
+        src = write_jsonl(tmp_path / "caps.jsonl", [
+            {"caption_id": f"c{i}", "caption": caption} for i, caption in enumerate(captions)
+        ])
+        out = tmp_path / "masked.jsonl"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"values": ["a", "b"]}))
+        assert main(["mask", "--input", str(src), "--out", str(out), "--config", str(config),
+                     "--quiet"]) == EXIT_OK
+        word = re.compile(r"[^\W_](?:\S*[^\W_])?")
+        assert [row["tokens"] for row in read_jsonl(out)] == [
+            word.findall(caption.lower()) for caption in captions
+        ]
+
     def test_missing_input(self, tmp_path):
         assert main(["mask", "--input", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o.jsonl"), "--quiet"]) == EXIT_VALIDATION
@@ -433,6 +450,31 @@ class TestReport:
         args[args.index(flag) + 1] = str(bad)
         assert main(args) == EXIT_VALIDATION
         assert f"{bad}:3: missing field '{field}'" in caplog.text
+
+    @pytest.mark.parametrize("first,second", [("json", "field"), ("field", "json")])
+    def test_first_malformed_caption_line_is_reported(self, synth_dir, tmp_path, caplog,
+                                                      first, second):
+        args = self._report_args(
+            synth_dir, tmp_path / "r.json", "ba",
+            extra=["--config", str(self._task_word_config(tmp_path))],
+        )
+        lines = (synth_dir / "human_captions.jsonl").read_text().splitlines()
+        errors = {}
+        for lineno, kind in ((5, first), (9, second)):
+            if kind == "json":
+                lines[lineno - 1] = lines[lineno - 1][:-1]
+                errors[lineno] = "invalid JSON"
+            else:
+                row = json.loads(lines[lineno - 1])
+                del row["source"]
+                lines[lineno - 1] = json.dumps(row)
+                errors[lineno] = "missing field 'source'"
+        bad = tmp_path / "human_captions.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        args[args.index("--human-captions") + 1] = str(bad)
+        assert main(args) == EXIT_VALIDATION
+        assert f"{bad}:5: {errors[5]}" in caplog.text
+        assert f"{bad}:9" not in caplog.text
 
     @pytest.mark.parametrize("objects", [5, "abc", {"umbrella": 1}])
     def test_objects_must_be_a_list(self, synth_dir, tmp_path, caplog, objects):

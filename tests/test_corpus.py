@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 import re
+import string
 import sys
 
 import pytest
@@ -23,6 +25,19 @@ from conftest import make_corpus, write_jsonl
 WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
 _BOUNDARY_PUNCT = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
+
+# The tokenizer's specification: one regex over the whole lowercased text.
+WORD = re.compile(r"[^\W_](?:\S*[^\W_])?")
+
+# Characters around the tokenizer's fast paths: ASCII punctuation ("_", "'"
+# and "." among it), every whitespace code point, combining marks, letters
+# whose lowercase is longer or depends on the context, and non-ASCII digits
+# and numerals.
+TRICKY = st.one_of(
+    st.characters(blacklist_categories=("Cs",)),
+    st.characters(whitelist_categories=("Mn", "Mc", "Me")),
+    st.sampled_from([*string.punctuation, *WHITESPACE, "a", "İ", "Σ", "½", "Ⅰ", "٠"]),
+)
 
 
 def split_strip_tokens(text):
@@ -62,6 +77,15 @@ class TestTokenize:
                 tokenize(text)
         else:
             assert tokenize(text) == expected
+
+    @given(st.text(alphabet=TRICKY))
+    def test_matches_the_regex_over_the_whole_text(self, text):
+        words = WORD.findall(text.lower())
+        if not words:
+            with pytest.raises(CorpusError):
+                tokenize(text)
+        else:
+            assert tokenize(text) == words
 
     def test_every_whitespace_code_point_separates(self):
         assert len(WHITESPACE) == 29
@@ -175,6 +199,52 @@ class TestLoadCorpus:
         message = f"{cap}:2: source must be 'human' or 'model'"
         with pytest.raises(CorpusError, match=re.escape(message)):
             load_corpus(cap, ann, plain_spec)
+
+    def test_empty_caption_logs_file_and_line_and_adds_no_token(self, tmp_path, plain_spec,
+                                                                caplog):
+        cap, ann = self._write_inputs(
+            tmp_path,
+            [
+                {"caption_id": "c1", "image_id": "i1", "caption": "A dog.", "source": "human"},
+                {"caption_id": "c2", "image_id": "i2", "caption": "_ -- ...", "source": "human"},
+                {"caption_id": "c3", "image_id": "i1", "caption": "a cat", "source": "human"},
+            ],
+            # an image whose only caption is rejected is still referenced
+            [{"image_id": "i2", "attribute": "male"}],
+        )
+        with caplog.at_level("WARNING"):
+            corpus = load_corpus(cap, ann, plain_spec)
+        assert f"{cap}:2: rejected caption 'c2' (empty after tokenization)" in caplog.text
+        assert corpus.caption_ids == ("c1", "c3")
+        assert corpus.image_ids == ("i1",)
+        assert corpus.token_table.tokens == ("a", "dog", "cat")
+        assert corpus.token_table.ids.tolist() == [0, 1, 0, 2]
+        assert corpus.token_table.starts.tolist() == [0, 2, 4]
+        assert corpus.labels.tolist() == [-1, -1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_token_table_is_in_first_seen_order_of_the_file(self, tmp_path, plain_spec, seed):
+        rng = random.Random(seed)
+        words = ["A", "woman", "MAN", "dog's", "dog", "(cat)", "cat.", "_x_", "-", "Ünïcode"]
+        rows = [
+            {"caption_id": f"c{i}", "image_id": f"i{i % 7}", "source": "human",
+             "caption": " ".join(rng.choice(words) for _ in range(rng.randint(1, 6)))}
+            for i in range(40)
+        ]
+        rng.shuffle(rows)
+        cap, ann = self._write_inputs(tmp_path, rows, [])
+        corpus = load_corpus(cap, ann, plain_spec)
+        # per caption, in file order, the captions that keep a token
+        kept = [row for row in rows if WORD.search(row["caption"].lower())]
+        captions = [tuple(tokenize(row["caption"])) for row in kept]
+        table = corpus.token_table
+        assert table.tokens == tuple(dict.fromkeys(t for tokens in captions for t in tokens))
+        starts = table.starts.tolist()
+        assert [tuple(table.tokens[i] for i in table.ids[a:b]) for a, b in
+                zip(starts, starts[1:])] == captions
+        assert corpus.caption_ids == tuple(row["caption_id"] for row in kept)
+        assert corpus.image_ids == tuple(dict.fromkeys(row["image_id"] for row in kept))
+        assert [corpus.image_ids[i] for i in corpus.images] == [row["image_id"] for row in kept]
 
     def test_empty_caption_rejected_with_diagnostic(self, tmp_path, plain_spec, caplog):
         cap, ann = self._write_inputs(
@@ -320,7 +390,7 @@ def test_content_hash_equals_json_dumps_oracle(captions):
         CaptionRecord(cid, img, tuple(tokens), Source.MODEL if model else Source.HUMAN, attr)
         for cid, img, tokens, attr, model in captions
     )
-    corpus = Corpus(records=records, attribute_spec=spec)
+    corpus = Corpus.from_records(records, spec)
     assert corpus.content_hash() == json_records_digest(corpus)
 
 
@@ -349,6 +419,31 @@ def test_content_hash_stable_and_order_independent(plain_spec):
     c = make_corpus(plain_spec, [("c1", "i1", ["a", "x"], "female"),
                                  ("c2", "i2", ["c"], "male")])
     assert a.content_hash() != c.content_hash()
+
+
+def test_from_records_rejects_a_value_outside_the_spec(plain_spec):
+    with pytest.raises(CorpusError, match=re.escape(
+        "record 'c2' carries attribute 'other' outside ('female', 'male')"
+    )):
+        make_corpus(plain_spec, [("c1", "i1", ["a"], "female"), ("c2", "i2", ["b"], "other")])
+
+
+def test_records_are_a_view_of_the_columns(plain_spec):
+    captions = [("c2", "i2", ["a", "man"], "male"), ("c1", "i1", ["a", "dog"], None),
+                ("c3", "i2", ["men"], "male")]
+    corpus = make_corpus(plain_spec, captions, Source.MODEL)
+    records = corpus.records
+    assert len(records) == 3
+    assert records[0] == CaptionRecord("c2", "i2", ("a", "man"), Source.MODEL, "male")
+    assert records[-2] == CaptionRecord("c1", "i1", ("a", "dog"), Source.MODEL, None)
+    assert [r.caption_id for r in records] == ["c2", "c1", "c3"]
+    with pytest.raises(IndexError):
+        records[3]
+    again = Corpus.from_records(records, plain_spec)
+    assert list(again.records) == list(records)
+    assert again.content_hash() == corpus.content_hash()
+    assert corpus.by_caption_id.tolist() == [1, 0, 2]
+    assert corpus.annotation_map() == {"i2": "male"}
 
 
 def test_conflicting_image_attributes_rejected(plain_spec):

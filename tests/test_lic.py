@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import random
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from capbias import classifier as clf
 from capbias import lic as lic_module
 from capbias.classifier import ClassifierConfig
-from capbias.corpus import AttributeSpec, CorpusError, Source, balanced_image_split
+from capbias.corpus import AttributeSpec, Corpus, CorpusError, Source, balanced_image_split
 from capbias.lic import (
     MetricReport,
     ProtocolConfig,
@@ -164,7 +163,7 @@ class TestRunProtocol:
         pair = list(small_pair)
         records = list(pair[side].records)
         random.Random(side).shuffle(records)
-        pair[side] = dataclasses.replace(pair[side], records=tuple(records))
+        pair[side] = Corpus.from_records(records, pair[side].attribute_spec)
         a = run_protocol(*small_pair, small_protocol(), master_seed=5)
         b = run_protocol(*pair, small_protocol(), master_seed=5)
         for name in a:

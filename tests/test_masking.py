@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -127,7 +129,7 @@ def test_mention_and_mask_match_brute_force(tokens):
      "dog", "tree", "<size>"]), min_size=1, max_size=6), max_size=8))
 def test_corpus_mentions_match_mention_of_each_caption(captions):
     """`Corpus.mentions`, counted over the token table, against `mention` of
-    each caption; the table's ids and caption index give back every caption."""
+    each caption; the table's ids and starts give back every caption."""
     corpus = make_corpus(THREE_VALUES, [
         (f"c{i}", f"i{i}", tokens, None) for i, tokens in enumerate(captions)
     ])
@@ -136,9 +138,11 @@ def test_corpus_mentions_match_mention_of_each_caption(captions):
     assert corpus.mentions.dtype == np.int64
     table = corpus.token_table
     assert list(table.tokens) == list(dict.fromkeys(t for tokens in captions for t in tokens))
-    assert table.ids.dtype == table.caption.dtype == np.int32
-    assert [tuple(table.tokens[i] for i in table.ids[table.caption == c])
-            for c in range(len(captions))] == [tuple(tokens) for tokens in captions]
+    assert table.ids.dtype == np.int32
+    assert table.starts.dtype == np.intp
+    assert table.starts.tolist() == [0, *accumulate(map(len, captions))]
+    assert [tuple(table.tokens[i] for i in table.ids[a:b])
+            for a, b in zip(table.starts, table.starts[1:])] == [tuple(t) for t in captions]
 
 
 def test_disjointness_enforced_after_expansion():
