@@ -32,7 +32,7 @@ def first_read_order(batches: Iterable[np.ndarray], n_rows: int,
     return np.concatenate([*rows, np.flatnonzero(~seen)])
 
 
-def adam_step(param, grad, moment1, moment2, lr, step, rows=None):
+def adam_step(param, grad, moment1, moment2, lr, step, rows):
     """One Adam update (Kingma & Ba 2015) of the (N, W) `param`, in place.
 
     The operations and their order are those of
@@ -44,11 +44,11 @@ def adam_step(param, grad, moment1, moment2, lr, step, rows=None):
     so that the chunks stay in cache. The scratch is allocated per call, in
     memory the batch's forward and backward passes have freed.
 
-    With `rows`, `grad` holds the gradient of the rows `rows` (ascending),
-    and every other row's gradient is zero. For such a row g = +0.0, so
-    b1*m + (1-b1)*g is b1*m, and likewise for v, because m and v are never
-    -0.0: they start at +0.0, b1 and b2 times the smallest subnormal round
-    back to it, and x + (-x) is +0.0. So only `rows` get the gradient terms.
+    `grad` holds the gradient of the rows `rows` (ascending), and every
+    other row's gradient is zero. For such a row g = ±0.0, so b1*m + (1-b1)*g
+    is b1*m, and likewise for v, because m and v are never -0.0: they start
+    at +0.0, b1 and b2 times the smallest subnormal round back to it, and
+    x + (-x) is +0.0. So only `rows` get the gradient terms.
     """
     chunk = max(1, ADAM_CHUNK // param.shape[1])
     scratch = np.empty((2, min(chunk, len(param)), param.shape[1]))
@@ -59,19 +59,16 @@ def adam_step(param, grad, moment1, moment2, lr, step, rows=None):
         s1, s2 = scratch[:, :len(p)]
         np.multiply(m, ADAM_BETA1, out=m)
         np.multiply(v, ADAM_BETA2, out=v)
-        if rows is None:
-            g, hit = grad[part], slice(None)
-        else:
-            end = begin + int((rows[begin:] < start + chunk).sum())
-            g, hit = grad[begin:end], rows[begin:end] - start
-            begin = end
+        end = int(np.searchsorted(rows, start + chunk))
+        g, hit = grad[begin:end], rows[begin:end] - start
+        begin = end
         m_hit, v_hit, s = m[hit], v[hit], s1[:len(g)]
         np.multiply(g, 1 - ADAM_BETA1, out=s)
         np.add(m_hit, s, out=m_hit)
         np.multiply(g, 1 - ADAM_BETA2, out=s)
         np.multiply(s, g, out=s)
         np.add(v_hit, s, out=v_hit)
-        m[hit], v[hit] = m_hit, v_hit  # for a slice, the views are already updated
+        m[hit], v[hit] = m_hit, v_hit
         np.divide(m, 1 - ADAM_BETA1 ** step, out=s1)
         np.multiply(s1, lr, out=s1)
         np.divide(v, 1 - ADAM_BETA2 ** step, out=s2)

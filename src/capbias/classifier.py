@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -64,39 +65,55 @@ class ClassifierConfig:
 class AttributeClassifier:
     config: ClassifierConfig
     n_classes: int
+    # One float64 buffer with rows as wide as the embedding: the other
+    # parameters from the first row on, padded with zeros to a whole row,
+    # then the embedding's rows. `params` are views into it.
+    buffer: np.ndarray
     params: dict[str, np.ndarray]
     training_log: list[float] = field(default_factory=list)
 
 
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float64)
+def _views(buffer: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views of the C-contiguous `buffer` in `shapes`, one after another."""
+    flat, views, offset = buffer.reshape(-1), {}, 0
+    for key, shape in shapes.items():
+        size = math.prod(shape)
+        views[key] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 def init_classifier(
     config: ClassifierConfig, vocabulary: Vocabulary, n_classes: int
 ) -> AttributeClassifier:
-    """Fresh parameters from a zero-mean uniform scaled by layer fan-in."""
+    """Fresh parameters from a zero-mean uniform scaled by layer fan-in.
+
+    A birecurrent layer's two directions are stacked, forward first, in
+    `Wx_l` (2, D, H), `Wh_l` (2, H, H) and `bh_l` (2, H).
+    """
     if n_classes < 2:
         raise ClassifierError(f"need at least 2 classes, got {n_classes}")
-    rng = np.random.default_rng(config.seed)
     v, e, h = len(vocabulary), config.embed_dim, config.hidden_dim
-    params: dict[str, np.ndarray] = {"embed": _uniform(rng, (v, e), e)}
-    if config.encoder_kind == BAG_MEAN:
-        head_in = e
-    else:
-        for layer, in_dim in ((1, e), (2, 2 * h)):
-            for direction in ("fwd", "bwd"):
-                key = f"{layer}_{direction}"
-                params[f"Wx_{key}"] = _uniform(rng, (in_dim, h), in_dim)
-                params[f"Wh_{key}"] = _uniform(rng, (h, h), h)
-                params[f"bh_{key}"] = np.zeros(h)
-        head_in = 2 * h
-    params["W1"] = _uniform(rng, (head_in, h), head_in)
-    params["b1"] = np.zeros(h)
-    params["W2"] = _uniform(rng, (h, n_classes), h)
-    params["b2"] = np.zeros(n_classes)
-    return AttributeClassifier(config=config, n_classes=n_classes, params=params)
+    layers = [] if config.encoder_kind == BAG_MEAN else [(1, e), (2, 2 * h)]
+    shapes: dict[str, tuple[int, ...]] = {}
+    for layer, in_dim in layers:
+        shapes.update({f"Wx_{layer}": (2, in_dim, h), f"Wh_{layer}": (2, h, h),
+                       f"bh_{layer}": (2, h)})
+    head_in = 2 * h if layers else e
+    shapes.update(W1=(head_in, h), b1=(h,), W2=(h, n_classes), b2=(n_classes,))
+    head = -(-sum(map(math.prod, shapes.values())) // e)
+    buffer = np.zeros((head + v, e))
+    params = {"embed": buffer[head:], **_views(buffer, shapes)}
+    # Drawn in the order of one direction's Wx and Wh after the other's.
+    fills = [(params["embed"], e)]
+    for layer, in_dim in layers:
+        for Wx, Wh in zip(params[f"Wx_{layer}"], params[f"Wh_{layer}"]):
+            fills += [(Wx, in_dim), (Wh, h)]
+    rng = np.random.default_rng(config.seed)
+    for out, fan_in in fills + [(params["W1"], head_in), (params["W2"], h)]:
+        bound = 1.0 / np.sqrt(fan_in)
+        out[...] = rng.uniform(-bound, bound, size=out.shape)
+    return AttributeClassifier(config, n_classes, buffer, params)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -185,86 +202,77 @@ def _to_positions(steps: np.ndarray) -> np.ndarray:
 
 
 def _step_masks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mask (B, L) by scan step, (L, 2, B, 1), and one minus it."""
-    steps = np.empty((mask.shape[1], 2, mask.shape[0], 1))
-    steps[:, 0, :, 0] = mask.T
-    steps[:, 1, :, 0] = mask.T[::-1]
-    return steps, 1.0 - steps
+    """Where the mask (B, L) is 1 and where it is 0, by scan step: two
+    boolean (L, 2, B, 1) arrays."""
+    real = np.empty((mask.shape[1], 2, mask.shape[0], 1), dtype=bool)
+    real[:, 0, :, 0] = mask.T
+    real[:, 1, :, 0] = mask.T[::-1]
+    return real, ~real
 
 
-def _layer_params(params, layer):
-    """A layer's (Wx_fwd, Wx_bwd), Wh stacked (2, H, H) and bh stacked (2, 1, H)."""
-    keys = (f"{layer}_fwd", f"{layer}_bwd")
-    Wx = tuple(params[f"Wx_{k}"] for k in keys)
-    Wh = np.stack([params[f"Wh_{k}"] for k in keys])
-    bh = np.stack([params[f"bh_{k}"] for k in keys])[:, None, :]
-    return Wx, Wh, bh
+# The recurrence selects where the textbook form blends with the mask m,
+# h = m*tanh(a) + (1-m)*h_prev: they differ only in the sign of a zero, and
+# no state is -0.0, as the biases start at +0.0 and Adam's p - s cannot reach
+# -0.0 from there. A -0.0 in a gradient leaves Adam's moments unchanged.
 
 
-def _birecurrent_layer(x, step_masks, Wx, Wh, bh):
+def _birecurrent_layer(x, padded, Wx, Wh, bh):
     """Both tanh recurrences of one layer over x (B, L, D), with carry over
-    padded positions.
+    the `padded` positions.
 
-    Returns the states (L + 1, 2, B, H), zero before the first step, and the
-    tanh outputs (L, 2, B, H), both by scan step.
+    Returns the states (L + 1, 2, B, H) by scan step, zero before the first.
     """
     batch, length, _ = x.shape
-    m, keep = step_masks
-    new = np.empty((length, 2, batch, Wh.shape[-1]))
+    states = np.zeros((length + 1, 2, batch, Wh.shape[-1]))
+    pre = np.empty(states[1:].shape)
     for d, view in enumerate(_scan_views(x)):
-        np.matmul(view, Wx[d], out=new[:, d])
-    states = np.zeros((length + 1,) + new.shape[1:])
-    recur, carry = np.empty(new.shape[1:]), np.empty(new.shape[1:])
-    bias = np.broadcast_to(bh, recur.shape).copy()  # a plain add is faster per step
-    for h_prev, h, a, m_s, keep_s in zip(states[:-1], states[1:], new, m, keep):
+        np.matmul(view, Wx[d], out=pre[:, d])
+    recur = np.empty(states.shape[1:])
+    # a plain add is faster per step than a broadcast one
+    bias = np.broadcast_to(bh[:, None], recur.shape).copy()
+    for h_prev, h, a, padded_s in zip(states[:-1], states[1:], pre, padded):
         np.matmul(h_prev, Wh, out=recur)
         a += recur
         a += bias
-        np.tanh(a, out=a)
-        np.multiply(m_s, a, out=h)
-        np.multiply(keep_s, h_prev, out=carry)
-        h += carry
-    return states, new
+        np.tanh(a, out=h)
+        np.copyto(h, h_prev, where=padded_s)
+    return states
 
 
 def _birecurrent_layer_backward(cache, step_masks, d_steps, d_final, grads, layer):
     """Backprop through one layer; writes its Wx/Wh/bh gradients and returns
     the gradient w.r.t. its input.
 
-    `cache` is (x, Wx, Wh, states, new) from the forward pass, `d_steps`
+    `cache` is (x, Wx, Wh, states) from the forward pass, `d_steps`
     (L, 2, B, H) the gradient w.r.t. the layer's outputs by scan step, or None
     where it is zero, and `d_final` (2, B, H) the gradient w.r.t. the last
     states.
     """
-    x, Wx, Wh, states, new = cache
+    x, Wx, Wh, states = cache
     length = x.shape[1]
-    m, keep = step_masks
-    # The mask is 0 or 1, so dh * (m * tanh') has the bits of (m * dh) * tanh'.
-    gate = m * (1.0 - new ** 2)
+    real, padded = step_masks
+    # At a real step the state is the tanh output; the gate is 0 elsewhere.
+    gate = 1.0 - states[1:] ** 2
+    np.copyto(gate, 0.0, where=padded)
     Wh_T = Wh.transpose(0, 2, 1)
-    da = np.empty_like(new)
+    da = np.empty_like(gate)
     dh, recur = d_final.copy(), np.empty_like(d_final)
     d_out = itertools.repeat(None) if d_steps is None else d_steps[::-1]
-    for da_s, gate_s, keep_s, d_s in zip(da[::-1], gate[::-1], keep[::-1], d_out):
+    for da_s, gate_s, real_s, d_s in zip(da[::-1], gate[::-1], real[::-1], d_out):
         if d_s is not None:
             dh += d_s
         np.multiply(dh, gate_s, out=da_s)
-        dh *= keep_s
         np.matmul(da_s, Wh_T, out=recur)
-        dh += recur
+        np.copyto(dh, recur, where=real_s)
     # Sum each product over steps from the last scan step to the first, the
     # order in which the loop above produced them.
-    d_Wx = np.empty((length, 2) + Wx[0].shape)
+    d_Wx = np.empty((length,) + Wx.shape)
     for d, view in enumerate(_scan_views(x)):
         np.matmul(view.transpose(0, 2, 1), da[:, d], out=d_Wx[:, d])
-    d_Wx = d_Wx[::-1].sum(axis=0)
-    d_Wh = np.matmul(states[:-1].transpose(0, 1, 3, 2), da)[::-1].sum(axis=0)
-    d_bh = da.sum(axis=2)[::-1].sum(axis=0)
-    for d, direction in enumerate(("fwd", "bwd")):
-        key = f"{layer}_{direction}"
-        grads[f"Wx_{key}"][...] = d_Wx[d]
-        grads[f"Wh_{key}"][...] = d_Wh[d]
-        grads[f"bh_{key}"][...] = d_bh[d]
+    np.sum(d_Wx[::-1], axis=0, out=grads[f"Wx_{layer}"])
+    np.sum(np.matmul(states[:-1].transpose(0, 1, 3, 2), da)[::-1], axis=0,
+           out=grads[f"Wh_{layer}"])
+    np.sum(da.sum(axis=2)[::-1], axis=0, out=grads[f"bh_{layer}"])
     # Each direction's products are written by position into an array of
     # x's layout, so the two add over contiguous memory.
     dx, dx_bwd = np.empty_like(x), np.empty_like(x)
@@ -281,12 +289,12 @@ def _encode_batch(params, config, idx, mask, caches):
         lengths = mask.sum(axis=1)[:, None]
         caches["lengths"] = lengths
         return emb.sum(axis=1) / lengths
-    step_masks = caches["step_masks"] = _step_masks(mask)
+    _, padded = caches["step_masks"] = _step_masks(mask)
     layer_in = emb
     for layer in (1, 2):
-        Wx, Wh, bh = _layer_params(params, layer)
-        states, new = _birecurrent_layer(layer_in, step_masks, Wx, Wh, bh)
-        caches[f"layer_{layer}"] = (layer_in, Wx, Wh, states, new)
+        Wx, Wh = params[f"Wx_{layer}"], params[f"Wh_{layer}"]
+        states = _birecurrent_layer(layer_in, padded, Wx, Wh, params[f"bh_{layer}"])
+        caches[f"layer_{layer}"] = (layer_in, Wx, Wh, states)
         layer_in = _to_positions(states[1:])
     return np.concatenate([states[-1, 0], states[-1, 1]], axis=1)
 
@@ -301,9 +309,8 @@ def _encoder_backward(params, config, idx, mask, caches, d_enc, grads, embed_row
         step_masks = caches["step_masks"]
         batch, hidden = idx.shape[0], config.hidden_dim
         d_final = d_enc.reshape(batch, 2, hidden).transpose(1, 0, 2)
-        d_in2 = _birecurrent_layer_backward(
-            caches["layer_2"], step_masks, None, d_final, grads, 2
-        )
+        d_in2 = _birecurrent_layer_backward(caches["layer_2"], step_masks, None,
+                                            d_final, grads, 2)
         d_emb = _birecurrent_layer_backward(
             caches["layer_1"], step_masks, _to_scan_order(d_in2),
             np.zeros_like(d_final), grads, 1,
@@ -380,15 +387,6 @@ def predict_proba(classifier: AttributeClassifier, sequences: Packed) -> np.ndar
     return out
 
 
-def _views(buffer: np.ndarray, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Views into `buffer` of the shapes of `arrays`, one after another."""
-    views, offset = {}, 0
-    for key, value in arrays.items():
-        views[key] = buffer[offset:offset + value.size].reshape(value.shape)
-        offset += value.size
-    return views
-
-
 def train(
     classifier: AttributeClassifier,
     sequences: Packed,
@@ -416,9 +414,10 @@ def train(
     # order of their first read, so that the rows read so far are a prefix,
     # and each batch's token ids are mapped to that order. A row no batch has
     # read has m = v = 0 and g = 0, which the Adam step leaves as they are,
-    # so the step is limited to the prefix.
-    embed = classifier.params["embed"]
+    # so the step is limited to the buffer's head and that prefix.
+    buffer, embed = classifier.buffer, classifier.params["embed"]
     n_rows, width = embed.shape
+    head = len(buffer) - n_rows  # the rows of the other parameters
     rows = first_read_order(
         (_gather_batch(sequences, order[start:start + config.batch_size])[0]
          for start in range(0, len(order), config.batch_size)),
@@ -427,23 +426,16 @@ def train(
     rank = np.empty(n_rows, dtype=np.int64)
     rank[rows] = np.arange(n_rows)
 
-    # One float64 buffer holds every parameter, the embedding first;
-    # classifier.params become views into it, and the Adam moments share its
-    # layout. The other parameters' gradient is one buffer of their layout;
-    # the embedding's holds the rows a batch read.
-    others = {key: value for key, value in classifier.params.items() if key != "embed"}
-    flat = np.empty(sum(value.size for value in classifier.params.values()))
-    moment1, moment2 = np.zeros_like(flat), np.zeros_like(flat)
-    rest = slice(embed.size, None)
-    grad = np.zeros_like(flat[rest])
-    params = _views(flat, {"embed": embed, **others})
-    grads = _views(grad, others)
-    np.take(embed, rows, axis=0, out=params["embed"], mode="clip")
-    for key, value in others.items():
-        params[key][...] = value
-    classifier.params = {key: params[key] for key in classifier.params}
-    embed = params["embed"]
-    embed_m, embed_v = (m[:embed.size].reshape(embed.shape) for m in (moment1, moment2))
+    # The Adam moments have the buffer's layout. A batch's gradient has its
+    # head rows, then the embedding rows the batch read.
+    shapes = {key: value.shape for key, value in classifier.params.items()
+              if key != "embed"}
+    moment1, moment2 = np.zeros(buffer.shape), np.zeros(buffer.shape)
+    # The embedding into first-read order, through the first moment's rows.
+    np.take(embed, rows, axis=0, out=moment1[head:], mode="clip")
+    embed[...] = moment1[head:]
+    moment1[head:] = 0.0
+    head_rows = np.arange(head)
 
     read = np.zeros(n_rows, dtype=bool)
     slot = np.empty(n_rows, dtype=np.int64)
@@ -463,7 +455,8 @@ def train(
                 hit = np.flatnonzero(read)
                 read[hit] = False
                 slot[hit] = np.arange(len(hit))
-                grads["embed"] = np.zeros((len(hit), width))
+                grad = np.zeros((head + len(hit), width))
+                grads = {"embed": grad[head:], **_views(grad, shapes)}
                 loss = _loss_and_grads(classifier, idx, mask, labels_arr[batch_ids],
                                        grads, slot[idx])
                 if not np.isfinite(loss):
@@ -472,13 +465,12 @@ def train(
                     )
                 step += 1
                 n_read = max(n_read, int(hit[-1]) + 1)
-                adam_step(embed[:n_read], grads["embed"], embed_m[:n_read],
-                          embed_v[:n_read], config.learning_rate, step, hit)
-                adam_step(flat[rest, None], grad[:, None], moment1[rest, None],
-                          moment2[rest, None], config.learning_rate, step)
+                prefix = slice(head + n_read)
+                adam_step(buffer[prefix], grad, moment1[prefix], moment2[prefix],
+                          config.learning_rate, step, np.append(head_rows, head + hit))
                 # min and max propagate NaN and reach any infinity, and unlike
-                # isfinite(flat) they allocate no temporary as large as the buffer.
-                if not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
+                # isfinite(buffer) they allocate no temporary as large as it.
+                if not (np.isfinite(buffer.min()) and np.isfinite(buffer.max())):
                     key = next(k for k, v in classifier.params.items()
                                if not np.isfinite(v).all())
                     raise ClassifierError(
@@ -489,9 +481,9 @@ def train(
             classifier.training_log.append(epoch_loss / n_batches)
     finally:
         # The embedding back in vocabulary order, through the first moment's
-        # buffer, which is no longer needed.
-        np.take(embed, rank, axis=0, out=embed_m, mode="clip")
-        embed[...] = embed_m
+        # rows, which are no longer needed.
+        np.take(embed, rank, axis=0, out=moment1[head:], mode="clip")
+        embed[...] = moment1[head:]
     if classifier.training_log[-1] > classifier.training_log[0]:
         logger.info(
             "final training loss %.4f exceeds initial %.4f",

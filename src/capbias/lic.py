@@ -195,16 +195,24 @@ def _n_workers(n_jobs: int) -> int:
     threads each one runs, at most one per job and at most CAPBIAS_THREADS;
     one where the platform cannot fork.
 
-    A process runs the largest count that `BLAS_THREAD_VARS` set, and every
-    usable CPU when they set none. Processes whose BLAS threads outnumber the
-    CPUs wait on each other's threads at every product.
+    OpenBLAS and MKL run the count of their own variable, else of
+    OMP_NUM_THREADS; another BLAS, or one numpy does not name, the largest of
+    `BLAS_THREAD_VARS`; each every usable CPU where none is set. Processes
+    whose BLAS threads outnumber the CPUs wait on each other at every product.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     cpus = len(os.sched_getaffinity(0))
-    blas = [int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
-            if v and v.isdecimal() and int(v) > 0]
-    n = min(n_jobs, cpus // max(blas, default=cpus))
+    try:
+        blas = str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
+    except (TypeError, KeyError):  # numpy < 1.26 has no `mode`
+        blas = ""
+    own = [var for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+           if var.split("_")[0].lower() in blas.lower()]
+    reads = [*own, "OMP_NUM_THREADS"] if own else BLAS_THREAD_VARS
+    threads = [int(v) for v in map(os.environ.get, reads)
+               if v and v.isdecimal() and int(v) > 0]
+    n = min(n_jobs, cpus // (threads[0] if own and threads else max(threads, default=cpus)))
     cap = os.environ.get("CAPBIAS_THREADS")
     if cap:
         if not (cap.isdecimal() and int(cap) > 0):

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -72,6 +73,50 @@ class TestInit:
     def test_rejects_single_class(self, vocabulary):
         with pytest.raises(ClassifierError):
             init_classifier(small_config(), vocabulary, 1)
+
+    def test_birecurrent_draws_each_direction_in_turn(self, vocabulary):
+        e, h, n_classes = 6, 5, 3
+        config = small_config(encoder_kind="birecurrent", embed_dim=e, hidden_dim=h, seed=3)
+        model = init_classifier(config, vocabulary, n_classes)
+        rng = np.random.default_rng(3)
+
+        def draw(shape, fan_in):
+            bound = 1.0 / np.sqrt(fan_in)
+            return rng.uniform(-bound, bound, size=shape)
+
+        # one direction's Wx and Wh, then the other's, layer by layer
+        expected = {"embed": draw((len(vocabulary), e), e)}
+        for layer, in_dim in ((1, e), (2, 2 * h)):
+            fwd = draw((in_dim, h), in_dim), draw((h, h), h)
+            bwd = draw((in_dim, h), in_dim), draw((h, h), h)
+            expected[f"Wx_{layer}"] = np.stack([fwd[0], bwd[0]])
+            expected[f"Wh_{layer}"] = np.stack([fwd[1], bwd[1]])
+            expected[f"bh_{layer}"] = np.zeros((2, h))
+        expected.update(W1=draw((2 * h, h), 2 * h), b1=np.zeros(h),
+                        W2=draw((h, n_classes), h), b2=np.zeros(n_classes))
+        assert list(model.params) == list(expected)
+        for key, value in expected.items():
+            assert np.array_equal(model.params[key], value), key
+
+    @pytest.mark.parametrize("encoder", ["bag_mean", "birecurrent"])
+    def test_parameters_are_views_into_one_row_buffer(self, vocabulary, encoder):
+        e = 6
+        model = init_classifier(small_config(encoder_kind=encoder, embed_dim=e),
+                                vocabulary, 3)
+        sequences, labels = synthetic_data(vocabulary)
+        for trained in (False, True):
+            if trained:
+                train(model, Packed.from_lists(sequences), labels)
+            head = model.buffer[:-len(vocabulary)]
+            others = np.concatenate([value.ravel() for key, value in model.params.items()
+                                     if key != "embed"])
+            assert model.buffer.shape == (len(head) + len(vocabulary), e)
+            assert 0 <= head.size - others.size < e
+            assert np.array_equal(head.ravel()[:others.size], others)
+            assert not head.ravel()[others.size:].any()  # the padding stays zero
+            assert np.array_equal(model.buffer[len(head):], model.params["embed"])
+            for value in model.params.values():
+                assert np.shares_memory(value, model.buffer)
 
 
 class TestForward:
@@ -160,6 +205,30 @@ class TestTrain:
         model = init_classifier(small_config(), vocabulary, 2)
         with pytest.raises(ClassifierError):
             train(model, Packed.from_lists([[1, 2]]), [2])
+
+    def test_peak_memory_below_three_parameter_copies(self):
+        # The Adam moments are two copies of the parameters; a second copy of
+        # the parameters, or a gradient as large as the embedding, would pass
+        # three.
+        vocabulary = build_vocab(Counter(f"v{i}" for i in range(4997)),
+                                 mask_token="<gender>")
+        assert len(vocabulary) == 5000
+        rng = np.random.default_rng(0)
+        sequences = [rng.integers(3, len(vocabulary), size=int(rng.integers(2, 9))).tolist()
+                     for _ in range(400)]
+        labels = [seq[0] % 2 for seq in sequences]
+        packed = Packed.from_lists(sequences)
+        model = init_classifier(ClassifierConfig(epochs=2, learning_rate=1e-3), vocabulary, 2)
+        param_bytes = sum(value.nbytes for value in model.params.values())
+        tracemalloc.start()
+        try:
+            train(model, packed, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * param_bytes
+        for value in model.params.values():
+            assert np.shares_memory(value, model.buffer)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_parameters_abort(self, vocabulary):
@@ -280,7 +349,8 @@ class TestAdamReference:
         fast = train(init_classifier(config, vocabulary, 3), Packed.from_lists(sequences),
                      labels)
         slow = reference_train(init_classifier(config, vocabulary, 3), sequences, labels)
-        # the parameters outside the embedding take the dense Adam path
+        # the parameters outside the embedding span several chunks of the
+        # Adam update
         dense = sum(value.size for key, value in slow.params.items() if key != "embed")
         assert dense > 2 * ADAM_CHUNK
         assert list(fast.params) == list(slow.params)
@@ -384,16 +454,16 @@ def _ref_scan(x, mask, Wx, Wh, bh, reverse):
     return outputs, h, caches
 
 
-def _ref_scan_backward(x, mask, Wx, Wh, caches, d_out, d_final, grads, key):
+def _ref_scan_backward(x, mask, Wx, Wh, caches, d_out, d_final, grads, layer, d):
     dx = np.zeros_like(x)
     dh = d_final.copy()
     for t, h_prev, h_new in reversed(caches):
         dh = dh + d_out[:, t]
         m = mask[:, t][:, None]
         da = (m * dh) * (1.0 - h_new ** 2)
-        grads[f"Wx_{key}"] += x[:, t].T @ da
-        grads[f"Wh_{key}"] += h_prev.T @ da
-        grads[f"bh_{key}"] += da.sum(axis=0)
+        grads[f"Wx_{layer}"][d] += x[:, t].T @ da
+        grads[f"Wh_{layer}"][d] += h_prev.T @ da
+        grads[f"bh_{layer}"][d] += da.sum(axis=0)
         dx[:, t] += da @ Wx.T
         dh = (1.0 - m) * dh + da @ Wh.T
     return dx
@@ -407,11 +477,11 @@ def _ref_forward(params, idx, mask):
     finals = {}
     for layer in (1, 2):
         outs = {}
-        for direction, reverse in (("fwd", False), ("bwd", True)):
+        for d, (direction, reverse) in enumerate((("fwd", False), ("bwd", True))):
             key = f"{layer}_{direction}"
             out, finals[key], caches[f"scan_{key}"] = _ref_scan(
                 layer_in, mask,
-                params[f"Wx_{key}"], params[f"Wh_{key}"], params[f"bh_{key}"],
+                params[f"Wx_{layer}"][d], params[f"Wh_{layer}"][d], params[f"bh_{layer}"][d],
                 reverse,
             )
             outs[direction] = out
@@ -445,20 +515,20 @@ def reference_grads(model, idx, mask, labels):
     zero = np.zeros((batch, idx.shape[1], h))
     d_final = {"2_fwd": d_enc[:, :h], "2_bwd": d_enc[:, h:]}
     d_in2 = np.zeros_like(caches["in_2"])
-    for direction in ("fwd", "bwd"):
+    for d, direction in enumerate(("fwd", "bwd")):
         key = f"2_{direction}"
         d_in2 += _ref_scan_backward(
-            caches["in_2"], mask, params[f"Wx_{key}"], params[f"Wh_{key}"],
-            caches[f"scan_{key}"], zero, d_final[key], grads, key,
+            caches["in_2"], mask, params["Wx_2"][d], params["Wh_2"][d],
+            caches[f"scan_{key}"], zero, d_final[key], grads, 2, d,
         )
     d_emb = np.zeros_like(caches["emb"])
     d_out1 = {"fwd": d_in2[:, :, :h], "bwd": d_in2[:, :, h:]}
     zero_final = np.zeros((batch, h))
-    for direction in ("fwd", "bwd"):
+    for d, direction in enumerate(("fwd", "bwd")):
         key = f"1_{direction}"
         d_emb += _ref_scan_backward(
-            caches["in_1"], mask, params[f"Wx_{key}"], params[f"Wh_{key}"],
-            caches[f"scan_{key}"], d_out1[direction], zero_final, grads, key,
+            caches["in_1"], mask, params["Wx_1"][d], params["Wh_1"][d],
+            caches[f"scan_{key}"], d_out1[direction], zero_final, grads, 1, d,
         )
     d_emb *= mask[..., None]
     np.add.at(grads["embed"], idx, d_emb)

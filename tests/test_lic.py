@@ -411,12 +411,29 @@ class TestRunJobs:
         assert consumed == [0]
 
 
+# as after CAPBIAS_THREADS=4 filled in the BLAS variables that
+# OPENBLAS_NUM_THREADS=1 left unset
+FILLED = {"OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": "4", "OPENBLAS_NUM_THREADS": "1"}
+
+
+def _show_config(blas):
+    """`numpy.show_config` of a numpy built against `blas`; None for a numpy
+    older than 1.26, whose `show_config` takes no `mode`."""
+    def show_config(*, mode):
+        return {"Build Dependencies": {"blas": {"name": blas}}}
+
+    if blas is None:
+        return lambda: None
+    return show_config
+
+
 class TestWorkerCount:
     @pytest.fixture(autouse=True)
-    def four_cpus(self, monkeypatch):
+    def four_cpus_and_openblas(self, monkeypatch):
         if not hasattr(os, "sched_getaffinity"):
             pytest.skip("no CPU affinity on this platform")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(np, "show_config", _show_config("scipy-openblas"))
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "CAPBIAS_THREADS"):
             monkeypatch.delenv(var, raising=False)
@@ -425,17 +442,37 @@ class TestWorkerCount:
         ({}, 6, 1),  # BLAS takes every CPU
         ({"OPENBLAS_NUM_THREADS": "1"}, 6, 4),
         ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
-        ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, 6, 2),
+        # OpenBLAS reads its own variable first
+        ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, 6, 4),
         ({"MKL_NUM_THREADS": "8"}, 6, 1),
         ({"OPENBLAS_NUM_THREADS": "1", "CAPBIAS_THREADS": "3"}, 6, 3),
         ({"CAPBIAS_THREADS": "1"}, 6, 1),
         # as after CAPBIAS_THREADS filled in the BLAS variables at import
         ({"CAPBIAS_THREADS": "2", "OMP_NUM_THREADS": "2"}, 6, 2),
+        ({**FILLED, "CAPBIAS_THREADS": "4"}, 6, 4),
+        ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "0"}, 6, 2),
     ])
     def test_worker_count(self, monkeypatch, env, n_jobs, expected):
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         assert lic_module._n_workers(n_jobs) == expected
+
+    @pytest.mark.parametrize("blas,env,expected", [
+        ("mkl-sdl", {"MKL_NUM_THREADS": "8"}, 1),
+        ("mkl-sdl", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+        ("mkl-sdl", {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, 2),
+        ("mkl-sdl", FILLED, 1),
+        # any other BLAS, and a numpy that does not name its BLAS: the largest
+        ("accelerate", {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, 2),
+        ("accelerate", FILLED, 1),
+        (None, {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, 2),
+        (None, {"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ])
+    def test_worker_count_of_other_blas(self, monkeypatch, blas, env, expected):
+        monkeypatch.setattr(np, "show_config", _show_config(blas))
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert lic_module._n_workers(6) == expected
 
     @pytest.mark.parametrize("value", ["0", "two", "-1"])
     def test_bad_capbias_threads_is_an_input_error(self, monkeypatch, value):
