@@ -163,6 +163,8 @@ def load_settings(args: argparse.Namespace) -> argparse.Namespace:
             _checked(value, kind, where, check if isinstance(check, int) else None)
             if check is ProtocolConfig:
                 _in_range(where, check, **{name: value})
+            elif isinstance(check, tuple) and not value:
+                raise CorpusError(f"{where} names none (expected some of {', '.join(check)})")
             elif isinstance(check, tuple) and not set(value) <= set(check):
                 raise CorpusError(
                     f"{where} has unknown names {sorted(set(value) - set(check))} "
@@ -357,12 +359,12 @@ def run_metrics(args: argparse.Namespace) -> dict:
         shared["annotations"] = load_annotations(args.annotations, spec)
     if args.objects is not None:
         shared["objects"] = load_object_annotations(args.objects)
-    human = generated = None
+    human = None
     if {"lic", "leakage", "sc", "ba", "dba_g", "dba_o"} & set(metrics):
         human = _load_side(args, "human_captions", Source.HUMAN, "ba/lic", spec, **shared)
-    if metrics:
-        generated = _load_side(args, "generated_captions", Source.MODEL, metrics[0], spec,
-                               **shared)
+    # `load_settings` lets no report run without a metric
+    generated = _load_side(args, "generated_captions", Source.MODEL, metrics[0], spec,
+                           **shared)
 
     results: dict[str, dict] = {}
 

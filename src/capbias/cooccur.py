@@ -183,7 +183,6 @@ def count_cooccurrence(
         annotations = corpus.object_annotations
         if annotations is None:
             raise CorpusError("object-label counting requires object annotations")
-        # each caption's image as its item, and each image's columns
         image_ids, items = corpus.image_ids, corpus.images
         missing = counted & np.array(
             [image not in annotations for image in image_ids], dtype=bool
@@ -192,43 +191,12 @@ def count_cooccurrence(
             raise CorpusError(
                 f"image {image_ids[items[missing.argmax()]]!r} has no object annotation"
             )
-        caption = np.arange(len(items), dtype=np.int32)
-        item_columns = [
-            [j for label in annotations.get(image, ()) for j in columns.get(label, ())]
-            for image in image_ids
-        ]
-    else:
-        # each token id as an item of its caption, and each token's columns
-        table = corpus.token_table
-        caption = np.repeat(np.arange(len(values), dtype=np.int32), np.diff(table.starts))
-        items = table.ids
-        item_columns = [columns.get(token, ()) for token in table.tokens]
 
     # One key per (caption, value, column): where the caption's value row
-    # starts, plus the column; int32 where every key fits. A caption with a
-    # negative value has none.
+    # starts, plus the column. A caption with a negative value has none.
     n_cells = len(spec.values) * n_words
-    start = np.arange(len(values)) * n_cells + values * n_words
-    if len(values) * n_cells <= np.iinfo(np.int32).max:
-        start = start.astype(np.int32)
-    keys = []
-    for k in range(max([1, *map(len, item_columns)])):
-        # the k-th column of each item, or -1
-        column = np.fromiter(
-            (c[k] if len(c) > k else -1 for c in item_columns),
-            dtype=np.int32, count=len(item_columns),
-        )
-        hit = (column >= 0)[items]
-        hit &= counted[caption]
-        key = start[caption[hit]]
-        key += column[items[hit]]
-        keys.append(key)
-    key = keys[0] if len(keys) == 1 else np.concatenate(keys)
-    # a caption counts once per cell
-    key.sort()
-    new = np.ones(key.size, dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    key = key[new]
+    start = np.where(counted, np.arange(len(values)) * n_cells + values * n_words, -1)
+    key = (corpus.object_table if objects else corpus.token_table).present(columns, start)
     key %= n_cells
     counts = np.zeros(n_cells, dtype=np.intp)
     np.add.at(counts, key, 1)

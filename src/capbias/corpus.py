@@ -15,7 +15,7 @@ import string
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -126,11 +126,36 @@ class _Ids(dict):
 class TokenTable(NamedTuple):
     """A corpus's tokens as ids: the distinct tokens in first-seen order, and
     every caption's token ids, concatenated in caption order; caption i's ids
-    are `ids[starts[i]:starts[i + 1]]`, and no caption is empty."""
+    are `ids[starts[i]:starts[i + 1]]`."""
 
     tokens: tuple[str, ...]
     ids: np.ndarray     # int32, an index into `tokens`
     starts: np.ndarray  # intp, one more than there are captions
+
+    def present(self, columns: Mapping[str, Sequence[int]], start: np.ndarray) -> np.ndarray:
+        """The sorted, distinct keys `start[i] + j`, one for each caption i
+        with `start[i] >= 0` and each column j that `columns[token]` lists
+        for a token the caption holds; int32 where every key fits."""
+        lists = [columns.get(token, ()) for token in self.tokens]
+        top = start.max(initial=0) + max((max(c) for c in columns.values() if c), default=0)
+        # each token's caption's start
+        start = np.repeat(start.astype(np.int32) if top < 2**31 else start,
+                          np.diff(self.starts))
+        keys = []
+        for k in range(max([1, *map(len, lists)])):
+            # the k-th column of each token, or -1
+            column = np.fromiter((c[k] if len(c) > k else -1 for c in lists),
+                                 dtype=np.int32, count=len(lists))
+            hit = (column >= 0)[self.ids]
+            hit &= start >= 0
+            key = start[hit]
+            key += column[self.ids[hit]]
+            keys.append(key)
+        key = keys[0] if len(keys) == 1 else np.concatenate(keys)
+        key.sort()
+        new = np.ones(key.size, dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        return key[new]
 
 
 def _columns(captions: Iterable[tuple[str, str, Source, Sequence[str]]]) -> tuple:
@@ -283,27 +308,34 @@ class Corpus:
         from capbias.masking import MIXED_MENTION, NO_MENTION, Masker
 
         # One token names at most one value, since the word lists are
-        # disjoint, and only an attribute word names one; a caption's count
-        # per value is one bincount over the tokens that name one.
+        # disjoint, and only an attribute word names one: its one column.
         masker = Masker(self.attribute_spec)
         table = self.token_table
         n_values = len(self.attribute_spec.values)
-        value = np.fromiter(
-            (masker.mention((token,)) if token in masker.all_words else NO_MENTION
-             for token in table.tokens),
-            dtype=np.intp, count=len(table.tokens),
-        )
-        at = np.flatnonzero((value >= 0)[table.ids])
-        present = np.bincount(
-            (np.searchsorted(table.starts, at, side="right") - 1) * n_values
-            + value[table.ids[at]],
-            minlength=len(self) * n_values,
-        ).reshape(len(self), n_values) > 0
-        n_named = present.sum(axis=1)
-        return np.where(
-            n_named > 1, MIXED_MENTION,
-            np.where(n_named == 1, present.argmax(axis=1), NO_MENTION),
-        ).astype(np.int64, copy=False)
+        words = masker.all_words.intersection(table.tokens)
+        key = table.present({w: (masker.mention((w,)),) for w in words},
+                            np.arange(len(self)) * n_values)
+        caption, value = np.divmod(key, n_values)
+        mentions = np.full(len(self), NO_MENTION, dtype=np.int64)
+        mentions[caption] = value
+        mentions[np.bincount(caption, minlength=len(self)) > 1] = MIXED_MENTION
+        return mentions
+
+    @property
+    def object_table(self) -> TokenTable:
+        """Each caption's object labels, its image's, as a token table; built on
+        every read, as a report reads it once per corpus."""
+        annotations, label_ids = self.object_annotations or {}, _Ids()
+        by_image = [[label_ids[label] for label in annotations.get(image, ())]
+                    for image in self.image_ids]
+        size = np.fromiter(map(len, by_image), dtype=np.intp, count=len(by_image))
+        n = size[self.images]
+        starts = np.concatenate(([0], np.cumsum(n)))
+        # caption i's labels are its image's run in the images' labels, end to end
+        at = np.repeat((np.cumsum(size) - size)[self.images] - starts[:-1], n)
+        at += np.arange(starts[-1])
+        ids = np.fromiter(chain.from_iterable(by_image), dtype=np.int32, count=size.sum())
+        return TokenTable(tuple(label_ids), ids[at], starts)
 
 
 _DECODER = json.JSONDecoder()
@@ -360,9 +392,12 @@ def load_object_annotations(path: Path | str) -> dict[str, frozenset[str]]:
     objects: dict[str, frozenset[str]] = {}
     for lineno, obj in _read_jsonl(path, ("image_id", "objects")):
         image_id = str(obj["image_id"])
-        if not isinstance(obj["objects"], list):
-            raise CorpusError(f"{path}:{lineno}: field 'objects' must be a JSON list")
-        labels = frozenset(str(x) for x in obj["objects"])
+        labels = obj["objects"]
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise CorpusError(
+                f"{path}:{lineno}: field 'objects' must be a JSON list of strings"
+            )
+        labels = frozenset(labels)
         if image_id in objects:
             objects[image_id] = objects[image_id] | labels
         else:

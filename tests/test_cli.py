@@ -476,7 +476,10 @@ class TestReport:
         assert f"{bad}:5: {errors[5]}" in caplog.text
         assert f"{bad}:9" not in caplog.text
 
-    @pytest.mark.parametrize("objects", [5, "abc", {"umbrella": 1}])
+    # not a list, or a list holding anything but strings
+    @pytest.mark.parametrize("objects", [
+        5, "abc", {"umbrella": 1}, ["dog", 5], [None], [True], [["cat"]], [{"a": 1}],
+    ])
     def test_objects_must_be_a_list(self, synth_dir, tmp_path, caplog, objects):
         image_ids = [row["image_id"] for row in read_jsonl(synth_dir / "annotations.jsonl")]
         rows = [{"image_id": image_id, "objects": ["umbrella"]} for image_id in image_ids]
@@ -488,7 +491,7 @@ class TestReport:
                    "--objects", str(bad)],
         )
         assert main(args) == EXIT_VALIDATION
-        assert f"{bad}:3: field 'objects' must be a JSON list" in caplog.text
+        assert f"{bad}:3: field 'objects' must be a JSON list of strings" in caplog.text
 
     def test_program_error_is_not_an_input_error(self, synth_dir, tmp_path):
         # a KeyError inside a metric is a bug: a traceback and exit 1, not 2
@@ -646,6 +649,20 @@ class TestReport:
         args = self._report_args(synth_dir, tmp_path / "r.json", "ba,bogus,lic")
         assert main(args) == EXIT_VALIDATION
         assert "--metrics has unknown names ['bogus']" in caplog.text
+        assert not (tmp_path / "r.json").exists()
+
+    def test_empty_metric_list_names_the_flag_or_key(self, synth_dir, tmp_path, caplog):
+        args = self._report_args(synth_dir, tmp_path / "r.json", "")
+        assert main(args) == EXIT_VALIDATION
+        assert ("--metrics names none (expected some of lic, leakage, sc, ba, dba_g, "
+                "dba_o, ratio, error)") in caplog.text
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"metrics": []}))
+        args = self._report_args(synth_dir, tmp_path / "r.json", "ba",
+                                 extra=["--config", str(path)])
+        args[args.index("--metrics"):args.index("--metrics") + 2] = []
+        assert main(args) == EXIT_VALIDATION
+        assert f"{path}: 'metrics' names none" in caplog.text
         assert not (tmp_path / "r.json").exists()
 
     def test_object_lexicon_is_read_only_for_dba_o(self, synth_dir, tmp_path):

@@ -583,6 +583,49 @@ class TestSelectTaskWordsOracle:
         assert out.counts.tolist() == recount.counts.tolist()
 
 
+class TestPresence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=records_st,
+        # a form may list several columns, and two forms may share one
+        columns=st.dictionaries(
+            st.sampled_from(CONTENT + ("woman", "men", "absent")),
+            st.lists(st.integers(0, 6), min_size=1, max_size=3),
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    def test_keys_are_the_caption_column_pairs(self, rows, columns, data):
+        corpus = _corpus_with_objects(SPEC, rows)
+        # a negative start drops its caption; one near 2**31 needs int64 keys
+        start = data.draw(st.lists(st.one_of(st.integers(-3, 40), st.just(2**31 - 2)),
+                                   min_size=len(rows), max_size=len(rows)))
+        keys = corpus.token_table.present(columns, np.array(start, dtype=np.int64))
+        assert keys.tolist() == sorted({
+            s + j
+            for s, record in zip(start, corpus.records) if s >= 0
+            for token in record.tokens for j in columns.get(token, ())
+        })
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=records_st, n_images=st.integers(1, 4))
+    def test_object_table_holds_each_records_image_labels(self, rows, n_images):
+        # captions share images, and the last image has no annotation
+        corpus = make_corpus(SPEC, [
+            (f"c{i}", f"i{i % n_images}", tokens, attr)
+            for i, (tokens, attr, _) in enumerate(rows)
+        ])
+        objects = {f"i{k}": rows[k][2] for k in range(min(n_images - 1, len(rows)))}
+        table = replace(corpus, object_annotations=objects).object_table
+        assert len(set(table.tokens)) == len(table.tokens)
+        assert table.ids.dtype == np.int32
+        starts = table.starts.tolist()
+        labels = [[table.tokens[i] for i in table.ids[a:b]] for a, b in zip(starts, starts[1:])]
+        assert [sorted(ls) for ls in labels] == [
+            sorted(objects.get(record.image_id, ())) for record in corpus.records
+        ]
+
+
 # ---------------------------------------------------------------- invariants
 
 LEXICON = {
