@@ -411,7 +411,10 @@ def run_metrics(args: argparse.Namespace) -> dict:
         }
 
     if "dba_g" in metrics:
-        labels = sorted({l for s in human.object_annotations.values() for l in s})
+        # the labels of the images that a caption of either side shows
+        objects = human.object_annotations
+        labels = sorted({label for corpus in (human, generated)
+                         for image in corpus.image_ids for label in objects.get(image, ())})
         results["dba_g"] = _dba_entry(
             human, generated, labels, lambda c: c.mentions,
             cooccur.DbaDirection.GENDER_GIVEN_OBJECT, objects=True,

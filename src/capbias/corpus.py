@@ -242,21 +242,6 @@ class Corpus:
         """The captions as records, made one at a time when read."""
         return _Records(self)
 
-    def annotation_map(self) -> dict[str, str]:
-        """image_id -> attribute value, for annotated captions."""
-        out: dict[str, str] = {}
-        values = self.attribute_spec.values
-        labelled = self.labels >= 0
-        for image, label in zip(self.images[labelled].tolist(),
-                                self.labels[labelled].tolist()):
-            previous = out.setdefault(self.image_ids[image], values[label])
-            if previous != values[label]:
-                raise CorpusError(
-                    f"image {self.image_ids[image]!r} has conflicting attributes "
-                    f"{previous!r} and {values[label]!r}"
-                )
-        return out
-
     def content_hash(self) -> str:
         return self._content_digest
 
@@ -487,30 +472,32 @@ def load_corpus(
 
 
 def balanced_image_split(
-    annotations: Mapping[str, str],
+    image_ids: Sequence[str],
+    labels: np.ndarray,
     values: Sequence[str],
     test_fraction: float,
     seed: int,
-) -> tuple[set[str], set[str]]:
-    """Partition annotated image ids into balanced (train, test) sets.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partition the annotated images into balanced (train, test) masks over
+    `image_ids`; `labels[i]` is image i's value index, or -1 for none.
 
     Image counts per attribute value are equalized by discarding the excess
-    of majority values; discarded images enter neither set. Deterministic
-    given the seed.
+    of majority values; discarded images enter neither set. Each value's
+    images are shuffled in image-id order, one permutation per value in
+    `values` order, so the split is deterministic given the seed.
     """
     if not 0.0 < test_fraction < 1.0:
         raise CorpusError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    by_value: dict[str, list[str]] = {v: [] for v in values}
-    for image_id in sorted(annotations):
-        by_value[annotations[image_id]].append(image_id)
-    for value, ids in by_value.items():
-        if len(ids) < 2:
+    order = np.array(sorted(range(len(image_ids)), key=image_ids.__getitem__), dtype=np.intp)
+    by_value = [order[labels[order] == v] for v in range(len(values))]
+    for value, images in zip(values, by_value):
+        if len(images) < 2:
             raise CorpusError(
-                f"attribute value {value!r} has {len(ids)} annotated images; "
+                f"attribute value {value!r} has {len(images)} annotated images; "
                 "need at least 2 to split"
             )
 
-    n_min = min(len(ids) for ids in by_value.values())
+    n_min = min(map(len, by_value))
     n_test = max(1, int(round(test_fraction * n_min)))
     n_train = n_min - n_test
     if n_train < 1:
@@ -519,12 +506,10 @@ def balanced_image_split(
         )
 
     rng = np.random.default_rng(seed)
-    train_ids: set[str] = set()
-    test_ids: set[str] = set()
-    for value in values:
-        ids = by_value[value]
-        perm = rng.permutation(len(ids))
-        shuffled = [ids[i] for i in perm]
-        test_ids.update(shuffled[:n_test])
-        train_ids.update(shuffled[n_test:n_test + n_train])
-    return train_ids, test_ids
+    in_train = np.zeros(len(image_ids), dtype=bool)
+    in_test = np.zeros(len(image_ids), dtype=bool)
+    for images in by_value:
+        shuffled = images[rng.permutation(len(images))]
+        in_test[shuffled[:n_test]] = True
+        in_train[shuffled[n_test:n_test + n_train]] = True
+    return in_train, in_test

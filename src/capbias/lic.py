@@ -221,18 +221,17 @@ def _n_workers(n_jobs: int) -> int:
     return max(n, 1)
 
 
-def _run_share(jobs: list, share: list[int]):
-    """Yield (j, result, error) for each job j of `share`, in order. After a
-    job fails, the share's later jobs are skipped: none of them can come
-    before that failure in job order."""
+def _run_share(jobs: list, share: list[int]) -> list:
+    """(j, result, error) for each job j of `share`, in order. After a job
+    fails, the share's later jobs are skipped: none of them can come before
+    that failure in job order."""
+    outcomes = []
     for j in share:
         try:
-            result, error = jobs[j](), None
+            outcomes.append((j, jobs[j](), None))
         except Exception as exc:
-            result, error = None, exc
-        yield j, result, error
-        if error is not None:
-            return
+            return [*outcomes, (j, None, exc)]
+    return outcomes
 
 
 def _work(jobs: list, share: list[int], read_fd: int, write_fd: int) -> None:
@@ -257,35 +256,28 @@ def _work(jobs: list, share: list[int], read_fd: int, write_fd: int) -> None:
         os._exit(code)
 
 
-def _run_jobs(jobs: list, sizes: list[int], consume) -> None:
-    """Call every job and pass its result to `consume(j, result)` in job order.
+def _run_jobs(jobs: list, sizes: list[int]):
+    """Call every job; yield the results in job order.
 
-    The jobs run in W processes, W from `_n_workers`: this one and W - 1
-    workers forked once. Largest first, each job goes to the process with the
-    least work so far, so this process takes the largest; each process runs
-    its share in job order. A result reaches `consume` once every earlier
-    job's has. A failed job raises its exception once every earlier job has
-    succeeded, so the error raised is the first in job order, whatever W.
+    The jobs run in W processes, W from `_n_workers`. At W = 1 this process
+    calls each job in turn. Otherwise W - 1 workers are forked once. Largest
+    first, each job goes to the process with the least work so far, so this
+    process takes the largest; each process runs its share in job order and
+    stops at its first failure. Once this process has run its share and read
+    every worker's outcomes, the results are yielded in job order, and the
+    first failed job in job order raises its exception, so the error raised
+    is the same at any W.
     """
     n = _n_workers(len(jobs))
+    if n == 1:
+        yield from (job() for job in jobs)
+        return
     shares: list[list[int]] = [[] for _ in range(n)]
     loads = [0] * n
     for j in sorted(range(len(jobs)), key=lambda j: -sizes[j]):
         k = loads.index(min(loads))
         shares[k].append(j)
         loads[k] += sizes[j]
-    done: dict = {}
-    next_job = 0
-
-    def drain() -> None:
-        nonlocal next_job
-        while next_job in done:
-            result, error = done.pop(next_job)
-            if error is not None:
-                raise error
-            consume(next_job, result)
-            next_job += 1
-
     workers = []  # (k, pid, pipe) of each worker not yet reaped
     try:
         for k in range(1, n):
@@ -295,9 +287,7 @@ def _run_jobs(jobs: list, sizes: list[int], consume) -> None:
                 _work(jobs, sorted(shares[k]), read_fd, write_fd)
             os.close(write_fd)
             workers.append((k, pid, os.fdopen(read_fd, "rb")))
-        for j, result, error in _run_share(jobs, sorted(shares[0])):
-            done[j] = result, error
-            drain()
+        outcomes = _run_share(jobs, sorted(shares[0]))
         while workers:
             k, pid, pipe = workers[0]
             with pipe:
@@ -311,8 +301,7 @@ def _run_jobs(jobs: list, sizes: list[int], consume) -> None:
             for j, result, error, text in pickle.loads(payload):
                 if error is not None:
                     error.__cause__ = _WorkerTraceback(text)
-                done[j] = result, error
-            drain()
+                outcomes.append((j, result, error))
     finally:
         if workers:
             import signal
@@ -321,6 +310,12 @@ def _run_jobs(jobs: list, sizes: list[int], consume) -> None:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    # A job missing here follows an earlier failure of its share, which raises.
+    outcomes.sort(key=lambda outcome: outcome[0])
+    for _, result, error in outcomes:
+        if error is not None:
+            raise error
+        yield result
 
 
 def run_protocol(
@@ -343,13 +338,6 @@ def run_protocol(
         raise CorpusError("corpora must share the same attribute spec")
     spec = human_corpus.attribute_spec
     masker = Masker(spec)
-    annotations = generated_corpus.annotation_map()
-    human_annotations = human_corpus.annotation_map()
-    for image_id, value in annotations.items():
-        if human_annotations.get(image_id) not in (None, value):
-            raise CorpusError(
-                f"image {image_id!r} annotated inconsistently across corpora"
-            )
 
     # Each corpus's distinct tokens are masked and interned once per report;
     # each seed then selects its rows with numpy and maps the report-wide
@@ -359,23 +347,31 @@ def run_protocol(
     human = _encode_corpus(human_corpus, masker, token_ids, image_ids)
     generated = _encode_corpus(generated_corpus, masker, token_ids, image_ids)
     tokens = np.array(list(token_ids), dtype=object)
+    image_names = list(image_ids)
+
+    # Each report image's value, from the generated captions' labels; every
+    # labelled caption of either corpus must agree with it where it has one.
+    labels = np.full(len(image_ids), -1, dtype=np.int64)
+    labels[generated.images[generated.labelled]] = generated.labels[generated.labelled]
+    sides = (human, generated)
+    images = np.concatenate([side.images[side.labelled] for side in sides])
+    caption_labels = np.concatenate([side.labels[side.labelled] for side in sides])
+    clash = np.flatnonzero((labels[images] >= 0) & (labels[images] != caption_labels))
+    if clash.size:
+        image = images[clash[0]]
+        raise CorpusError(
+            f"image {image_names[image]!r} is annotated both "
+            f"{spec.values[labels[image]]!r} and {spec.values[caption_labels[clash[0]]]!r}"
+        )
 
     seeds = []
     for run in range(config.n_seeds):
         split_seed = derive_seed(master_seed, 3 * run)
         init_seed = derive_seed(master_seed, 3 * run + 1)
-        train_ids, test_ids = balanced_image_split(
-            annotations, spec.values, config.test_fraction, split_seed
+        in_train, in_test = balanced_image_split(
+            image_names, labels, spec.values, config.test_fraction, split_seed
         )
-        # Split images are annotated in the generated corpus, so they have ids.
-        in_train = np.zeros(len(image_ids), dtype=bool)
-        in_train[[image_ids[i] for i in train_ids]] = True
-        in_test = np.zeros(len(image_ids), dtype=bool)
-        in_test[[image_ids[i] for i in test_ids]] = True
-
         gen_train = in_train[generated.images]
-        if not gen_train.any():
-            raise CorpusError("generated corpus has no captions in the train split")
         # Each masked token's count over the generated train captions.
         counts = np.bincount(
             generated.report_ids,
@@ -399,19 +395,14 @@ def run_protocol(
 
     # Job 2 * run trains seed run's data side ("d", human captions), job
     # 2 * run + 1 its model side ("m", generated captions).
-    sides = (human, generated)
+    pairs = [(seed, side) for seed in seeds for side in sides]
     jobs = [functools.partial(_fit_and_predict, seed, side, len(spec.values))
-            for seed in seeds for side in sides]
-    sizes = [int(side.ids.lengths[_rows(side, seed.in_train)].sum())
-             for seed in seeds for side in sides]
+            for seed, side in pairs]
+    sizes = [int(side.ids.lengths[_rows(side, seed.in_train)].sum()) for seed, side in pairs]
     scores = []
-
-    def score(j: int, probs: np.ndarray) -> None:
-        side = sides[j % 2]
-        test_y = side.labels[_rows(side, seeds[j // 2].in_test)]
+    for (seed, side), probs in zip(pairs, _run_jobs(jobs, sizes)):
+        test_y = side.labels[_rows(side, seed.in_test)]
         scores.append((lic_component(probs, test_y), sc_accuracy(probs, test_y)))
-
-    _run_jobs(jobs, sizes, score)
 
     samples: dict[str, list[float]] = {
         name: [] for name in ("lic_d", "lic_m", "lic", "sc", "leakage")

@@ -168,6 +168,8 @@ def write_corpus_files(corpus: Corpus, captions_path: Path, annotations_path: Pa
                 "caption": " ".join(words[starts[i]:starts[i + 1]]),
                 "source": corpus.sources[i].value,
             }, ensure_ascii=False) + "\n")
+    # each labelled image's value, in the order of its first labelled caption
+    annotations = {r.image_id: r.attribute for r in corpus.records if r.attribute is not None}
     with open(annotations_path, "w", encoding="utf-8") as handle:
-        for image_id, value in corpus.annotation_map().items():
+        for image_id, value in annotations.items():
             handle.write(json.dumps({"image_id": image_id, "attribute": value}) + "\n")

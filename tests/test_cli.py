@@ -902,6 +902,34 @@ def test_cooccurrence_report_does_not_depend_on_the_hash_seed(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_dba_g_labels_are_those_of_images_a_caption_shows(tmp_path, caplog):
+    """An objects line for an image that no caption shows adds no label."""
+    rows = {"human": [("i1", "A woman riding a bike."), ("i2", "A man holding a dog."),
+                      ("i3", "A girl with her dog."), ("i4", "A boy on a bike.")],
+            "model": [("i1", "A woman on a bicycle."), ("i2", "A man with a dog."),
+                      ("i3", "A man with a puppy."), ("i4", "A man on a bike.")]}
+    for source, captions in rows.items():
+        write_jsonl(tmp_path / f"{source}.jsonl", [
+            {"caption_id": f"{source}{k}", "image_id": image, "source": source,
+             "caption": caption} for k, (image, caption) in enumerate(captions)])
+    objects = [{"image_id": i, "objects": [o]}
+               for i, o in (("i1", "bike"), ("i2", "dog"), ("i3", "dog"), ("i4", "bike"))]
+    reports = []
+    for extra in ([], [{"image_id": "i9", "objects": ["zebra"]}]):
+        write_jsonl(tmp_path / "objects.jsonl", objects + extra)
+        out = tmp_path / "report.json"
+        caplog.clear()
+        assert main(["report", "--metrics", "dba_g",
+                     "--human-captions", str(tmp_path / "human.jsonl"),
+                     "--generated-captions", str(tmp_path / "model.jsonl"),
+                     "--objects", str(tmp_path / "objects.jsonl"),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        assert "undefined conditionals" not in caplog.text
+        reports.append(json.loads(out.read_text())["metrics"]["dba_g"])
+    assert reports[0]["n_objects"] == 2
+    assert reports[1] == reports[0]
+
+
 def _usable_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 

@@ -5,6 +5,7 @@ import re
 import string
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -270,15 +271,108 @@ def _image_corpus(spec, n_female, n_male):
     return make_corpus(spec, captions)
 
 
+def image_labels(corpus):
+    """Each image's value index, from its captions' labels; -1 for none."""
+    labels = np.full(len(corpus.image_ids), -1, dtype=np.int64)
+    labels[corpus.images] = corpus.labels
+    return labels
+
+
 def split_records(corpus, test_fraction, seed):
     """The train and test records of a corpus under `balanced_image_split`."""
-    train_ids, test_ids = balanced_image_split(
-        corpus.annotation_map(), corpus.attribute_spec.values, test_fraction, seed
+    in_train, in_test = balanced_image_split(
+        corpus.image_ids, image_labels(corpus), corpus.attribute_spec.values,
+        test_fraction, seed,
     )
+    records = list(corpus.records)
     return (
-        [r for r in corpus.records if r.image_id in train_ids],
-        [r for r in corpus.records if r.image_id in test_ids],
+        [r for r, image in zip(records, corpus.images) if in_train[image]],
+        [r for r, image in zip(records, corpus.images) if in_test[image]],
     )
+
+
+def string_split(annotations, values, test_fraction, seed):
+    """The balanced split over image-id strings that the masks replaced, kept
+    as their oracle: (train, test) sets of the ids in `annotations`, an
+    image id -> value map."""
+    if not 0.0 < test_fraction < 1.0:
+        raise CorpusError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    by_value = {v: [] for v in values}
+    for image_id in sorted(annotations):
+        by_value[annotations[image_id]].append(image_id)
+    for value, ids in by_value.items():
+        if len(ids) < 2:
+            raise CorpusError(
+                f"attribute value {value!r} has {len(ids)} annotated images; "
+                "need at least 2 to split"
+            )
+
+    n_min = min(len(ids) for ids in by_value.values())
+    n_test = max(1, int(round(test_fraction * n_min)))
+    n_train = n_min - n_test
+    if n_train < 1:
+        raise CorpusError(
+            f"test_fraction {test_fraction} leaves no training images"
+        )
+
+    rng = np.random.default_rng(seed)
+    train_ids, test_ids = set(), set()
+    for value in values:
+        ids = by_value[value]
+        perm = rng.permutation(len(ids))
+        shuffled = [ids[i] for i in perm]
+        test_ids.update(shuffled[:n_test])
+        train_ids.update(shuffled[n_test:n_test + n_train])
+    return train_ids, test_ids
+
+
+# Ids whose code-point order differs from their insertion order: "img10"
+# sorts before "img9", and the non-ASCII ones after every ASCII id.
+SPLIT_IDS = st.one_of(
+    st.builds("img{}".format, st.integers(0, 30)),
+    st.sampled_from(["é", "ä1", "日本", "Z", "z", "\U0001f600", "img"]),
+)
+
+
+@given(
+    ids=st.lists(SPLIT_IDS, unique=True, min_size=8, max_size=40),
+    n_values=st.sampled_from([2, 3]),
+    data=st.data(),
+    test_fraction=st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_split_masks_select_the_string_split(ids, n_values, data, test_fraction, seed):
+    """The masks select exactly the images of the string-based split, with
+    unlabelled images in neither, and both raise the same input errors."""
+    values = ("female", "male", "other")[:n_values]
+    labels = np.array(data.draw(st.lists(st.integers(-1, n_values - 1),
+                                         min_size=len(ids), max_size=len(ids))),
+                      dtype=np.int64)
+    annotations = {i: values[v] for i, v in zip(ids, labels.tolist()) if v >= 0}
+    try:
+        expected = string_split(annotations, values, test_fraction, seed)
+    except CorpusError as exc:
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(exc))}$"):
+            balanced_image_split(ids, labels, values, test_fraction, seed)
+        return
+    in_train, in_test = balanced_image_split(ids, labels, values, test_fraction, seed)
+    assert in_train.dtype == in_test.dtype == bool
+    assert ({ids[i] for i in np.flatnonzero(in_train)},
+            {ids[i] for i in np.flatnonzero(in_test)}) == expected
+
+
+@pytest.mark.parametrize("labels,test_fraction,message", [
+    ([0, 1, 0, -1], 0.5, "attribute value 'male' has 1 annotated images; need at least 2 to split"),
+    ([0, 1, 0, 1], 0.9, "test_fraction 0.9 leaves no training images"),
+    ([0, 1, 0, 1], 1.0, "test_fraction must be in (0, 1), got 1.0"),
+])
+def test_split_input_errors_match_the_string_split(labels, test_fraction, message):
+    ids, values = ["img10", "img9", "img8", "é"], ("female", "male")
+    annotations = {i: values[v] for i, v in zip(ids, labels) if v >= 0}
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        balanced_image_split(ids, np.array(labels), values, test_fraction, 0)
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        string_split(annotations, values, test_fraction, 0)
 
 
 class TestBalancedSplit:
@@ -443,11 +537,4 @@ def test_records_are_a_view_of_the_columns(plain_spec):
     assert list(again.records) == list(records)
     assert again.content_hash() == corpus.content_hash()
     assert corpus.by_caption_id.tolist() == [1, 0, 2]
-    assert corpus.annotation_map() == {"i2": "male"}
-
-
-def test_conflicting_image_attributes_rejected(plain_spec):
-    corpus = make_corpus(plain_spec, [("c1", "i1", ["a"], "female"),
-                                      ("c2", "i1", ["b"], "male")])
-    with pytest.raises(CorpusError):
-        corpus.annotation_map()
+    assert corpus.labels.tolist() == [1, -1, 1]

@@ -170,6 +170,37 @@ class TestRunProtocol:
             assert a[name].per_seed == b[name].per_seed
             assert a[name].provenance == b[name].provenance
 
+    def test_human_label_disagreeing_with_generated_rejected(self, plain_spec):
+        generated = make_corpus(plain_spec, [(f"g{i}", f"i{i}", ["a"], v) for i, v
+                                             in enumerate(["female", "male"] * 2)],
+                                Source.MODEL)
+        human = make_corpus(plain_spec, [("h0", "i0", ["b"], "female"),
+                                         ("h2", "i2", ["b"], "male")])
+        with pytest.raises(CorpusError,
+                           match="^image 'i2' is annotated both 'female' and 'male'$"):
+            run_protocol(human, generated, small_protocol(), master_seed=1)
+
+    def test_conflicting_image_attributes_rejected(self, plain_spec):
+        # two generated captions of image i1
+        generated = make_corpus(plain_spec, [("g0", "i0", ["a"], "female"),
+                                             ("g1", "i1", ["b"], "male"),
+                                             ("g1b", "i1", ["c"], "female"),
+                                             ("g2", "i2", ["d"], "male")], Source.MODEL)
+        with pytest.raises(CorpusError,
+                           match="^image 'i1' is annotated both '(fe)?male' and '(fe)?male'$"):
+            run_protocol(make_corpus(plain_spec, [("h0", "i0", ["a"], "female")]),
+                         generated, small_protocol(), master_seed=1)
+
+    def test_human_labels_off_the_split_are_not_checked(self, plain_spec):
+        # Image i9, which no generated caption annotates, enters no split.
+        captions = [(f"c{i}", f"i{i}", ["a", f"w{i}"], v)
+                    for i, v in enumerate(["female", "male"] * 4)]
+        generated = make_corpus(plain_spec, captions, Source.MODEL)
+        human = make_corpus(plain_spec, [*captions, ("x1", "i9", ["b"], "female"),
+                                         ("x2", "i9", ["c"], "male")])
+        reports = run_protocol(human, generated, small_protocol(n_seeds=1), master_seed=1)
+        assert len(reports["lic"].per_seed) == 1
+
     def test_single_seed_reports_no_std(self, small_pair):
         human, generated = small_pair
         reports = run_protocol(human, generated, small_protocol(n_seeds=1))
@@ -199,13 +230,17 @@ def oracle_sets(human, generated, config, master_seed):
     sequences and labels, computed caption by caption."""
     spec = human.attribute_spec
     masker = Masker(spec)
-    annotations = generated.annotation_map()
+    annotations = {r.image_id: r.attribute for r in generated.records if r.attribute}
+    image_ids = list(annotations)
+    labels = np.array([spec.values.index(annotations[i]) for i in image_ids])
     out = []
     for run in range(config.n_seeds):
-        train_ids, test_ids = balanced_image_split(
-            annotations, spec.values, config.test_fraction,
+        in_train, in_test = balanced_image_split(
+            image_ids, labels, spec.values, config.test_fraction,
             derive_seed(master_seed, 3 * run),
         )
+        train_ids = {image_ids[i] for i in np.flatnonzero(in_train)}
+        test_ids = {image_ids[i] for i in np.flatnonzero(in_test)}
         v_pre = build_vocab(
             Counter(chain.from_iterable(masker.mask(r.tokens) for r in generated.records
                                         if r.image_id in train_ids)),
@@ -377,21 +412,25 @@ class TestRunJobs:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_results_consumed_in_job_order(self, monkeypatch, n):
+    def test_results_in_job_order(self, monkeypatch, n):
         self._workers(monkeypatch, n)
         parent = os.getpid()
         jobs = [lambda j=j: (j, os.getpid() == parent) for j in range(7)]
-        consumed = []
-        lic_module._run_jobs(jobs, [3, 9, 1, 4, 4, 8, 2],
-                             lambda j, result: consumed.append((j, result)))
+        results = list(lic_module._run_jobs(jobs, [3, 9, 1, 4, 4, 8, 2]))
         self._no_child_left()
-        assert [j for j, _ in consumed] == list(range(7))
-        assert [result[0] for _, result in consumed] == list(range(7))
+        assert [j for j, _ in results] == list(range(7))
         # Largest first, each to the least loaded, ties to this process: it
         # takes jobs 1 (size 9), 4 (4), 6 (2) and 2 (1), the worker 5 (8),
         # 3 (4) and 0 (3).
-        in_parent = {j for j, (_, here) in consumed if here}
+        in_parent = {j for j, here in results if here}
         assert in_parent == ({1, 2, 4, 6} if n == 2 else set(range(7)))
+
+    def test_one_process_calls_each_job_as_its_result_is_read(self, monkeypatch):
+        self._workers(monkeypatch, 1)
+        called = []
+        jobs = [lambda j=j: called.append(j) or j for j in range(3)]
+        for j, result in enumerate(lic_module._run_jobs(jobs, [1, 1, 1])):
+            assert (result, called) == (j, list(range(j + 1)))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_first_failure_in_job_order_is_raised(self, monkeypatch, n):
@@ -403,12 +442,31 @@ class TestRunJobs:
         # Job 2 is the largest, so this process runs it, and fails, before
         # the worker reaches job 1.
         jobs = [lambda: 0, lambda: fail(1), lambda: fail(2), lambda: 3]
-        consumed = []
+        results = []
         with pytest.raises(clf.ClassifierError, match="^job 1 failed$"):
-            lic_module._run_jobs(jobs, [1, 1, 5, 1],
-                                 lambda j, result: consumed.append(j))
+            for result in lic_module._run_jobs(jobs, [1, 1, 5, 1]):
+                results.append(result)
         self._no_child_left()
-        assert consumed == [0]
+        assert results == [0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_process_stops_at_its_first_failure(self, monkeypatch, tmp_path, n):
+        self._workers(monkeypatch, n)
+        ran = tmp_path / "ran"
+
+        def run(j):
+            with open(ran, "a") as handle:
+                handle.write(f"{j}\n")
+            if j in (1, 2):
+                raise clf.ClassifierError(f"job {j} failed")
+
+        # At W = 2 the worker's share is jobs 0, 1 and 3: it stops at job 1,
+        # and this process fails its own share, job 2.
+        jobs = [lambda j=j: run(j) for j in range(4)]
+        with pytest.raises(clf.ClassifierError, match="^job 1 failed$"):
+            list(lic_module._run_jobs(jobs, [1, 1, 5, 1]))
+        self._no_child_left()
+        assert sorted(ran.read_text().split()) == (["0", "1", "2"] if n == 2 else ["0", "1"])
 
 
 # as after CAPBIAS_THREADS=4 filled in the BLAS variables that
