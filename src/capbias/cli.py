@@ -47,9 +47,7 @@ PROTOCOL_METRICS = {"lic", "leakage", "sc"}
 # its default and its range, which is the least value, the dataclass that
 # checks the field of that name, or the names a list may hold. A key's last
 # part names the `args` attribute it resolves into, which is also the dest of
-# its flag where the command has one. `protocol.classifier` holds
-# `ClassifierConfig` fields, each checked against that field's type and by
-# `ClassifierConfig`.
+# its flag where the command has one; a `dict` row is a section of the file.
 SETTINGS = {
     "attribute": (str, "gender", None),
     "values": (list, (), None),
@@ -69,13 +67,13 @@ SETTINGS = {
     "protocol": (dict, {}, None),
     "protocol.n_seeds": (int, 10, ProtocolConfig),
     "protocol.test_fraction": (float, 0.1, ProtocolConfig),
-    "protocol.classifier": (dict, {}, ClassifierConfig),
+    "protocol.classifier": (dict, {}, None),
+    # every `ClassifierConfig` field but `seed`: `run_protocol` derives each
+    # classifier's seed from the master seed, so a configured one would change
+    # nothing but the report's `config_hash`
+    **{f"protocol.classifier.{f.name}": (type(f.default), f.default, ClassifierConfig)
+       for f in dataclasses.fields(ClassifierConfig) if f.name != "seed"},
 }
-_CLASSIFIER_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(ClassifierConfig)}
-_KNOWN_KEYS = {*SETTINGS, *(f"protocol.classifier.{name}" for name in _CLASSIFIER_FIELDS)}
-# The classifier fields that `report` also takes as flags, by flag dest.
-_CLASSIFIER_FLAGS = {"encoder": "encoder_kind", "epochs": "epochs",
-                     "learning_rate": "learning_rate"}
 
 
 def _read_json(path: str) -> tuple[object, int]:
@@ -139,29 +137,32 @@ def _keys(section: dict, prefix: str = ""):
 
 
 def load_settings(args: argparse.Namespace) -> argparse.Namespace:
-    """Set the `args` attribute of every row of `SETTINGS` to its flag's
-    value if given, else to the config file's value, else to the default,
-    before any input file is read. Every value in the file and every flag
-    given is checked, so an unknown key or a wrong value is an input error
-    naming the file and key, or the flag."""
+    """Set the `args` attribute of every row of `SETTINGS` but a section to
+    its flag's value if given, else to the config file's value, else to the
+    default, before any input file is read. Every value in the file and every
+    flag given is checked, and CAPBIAS_THREADS too, so an unknown key or a
+    wrong value is an input error naming the file and key, or the flag."""
+    lic_mod._thread_cap()
     path, config = args.config, {}
     if path is not None:
         config = _read_json(path)[0]
         if not isinstance(config, dict):
             raise CorpusError(f"{path}: expected a JSON object")
         for key in _keys(config):
-            if key not in _KNOWN_KEYS:
+            if key not in SETTINGS:
                 raise CorpusError(f"{path}: unknown key {key!r}")
     for key, (kind, default, check) in SETTINGS.items():
-        section, _, name = key.rpartition(".")
-        in_file = config.get(section, {}) if section else config
+        *sections, name = key.split(".")
+        in_file = config
+        for section in sections:  # a section's own row, checked first, is a dict
+            in_file = in_file.get(section, {})
         given = [(in_file[name], f"{path}: {key!r}")] if name in in_file else []
         if getattr(args, name, None) is not None:
             given.append((getattr(args, name), "--" + name.replace("_", "-")))
         value = default
         for value, where in given:  # the flag, given last, wins
             _checked(value, kind, where, check if isinstance(check, int) else None)
-            if check is ProtocolConfig:
+            if check in (ProtocolConfig, ClassifierConfig):
                 _in_range(where, check, **{name: value})
             elif isinstance(check, tuple) and not value:
                 raise CorpusError(f"{where} names none (expected some of {', '.join(check)})")
@@ -170,18 +171,8 @@ def load_settings(args: argparse.Namespace) -> argparse.Namespace:
                     f"{where} has unknown names {sorted(set(value) - set(check))} "
                     f"(expected some of {', '.join(check)})"
                 )
-        setattr(args, name, value)
-    classifier = dict(args.classifier)
-    given = [(name, value, f"{path}: 'protocol.classifier.{name}'")
-             for name, value in classifier.items()]
-    given += [(name, getattr(args, dest), "--" + dest.replace("_", "-"))
-              for dest, name in _CLASSIFIER_FLAGS.items()
-              if getattr(args, dest, None) is not None]
-    for name, value, where in given:  # the flags, given last, win
-        _checked(value, _CLASSIFIER_FIELDS[name], where)
-        _in_range(where, ClassifierConfig, **{name: value})
-        classifier[name] = value
-    args.classifier = classifier
+        if kind is not dict:
+            setattr(args, name, value)
     return args
 
 
@@ -235,22 +226,26 @@ def cmd_synth(args: argparse.Namespace) -> int:
     at = f"{args.spec}:{lineno}"
     if not isinstance(spec_obj, dict):
         raise CorpusError(f"{at}: expected a JSON object")
+    # name, JSON type, default, then the least value or length, the most
+    # length and the item type; `marker_words` and `seed` are read below
+    table = (
+        ("n_images", int, None),
+        ("filler_vocab_size", int, 50, 1),
+        ("caption_length_range", list, [6, 10], 2, 2, int),
+        ("values", list, ["female", "male"], 2),
+        ("theta_human", float, None),
+        ("theta_generated", float, None),
+    )
+    for name in spec_obj:
+        if name not in {"marker_words", "seed", *(row[0] for row in table)}:
+            raise CorpusError(f"{at}: unknown field {name!r}")
     for name in ("n_images", "theta_human", "theta_generated"):
         if name not in spec_obj:
             raise CorpusError(f"{at}: missing field {name!r}")
 
-    # name, JSON type, default, then the least value or length, the most
-    # length and the item type
     fields = {
         name: _checked(spec_obj.get(name, default), kind, f"{at}: field {name!r}", *size)
-        for name, kind, default, *size in (
-            ("n_images", int, None),
-            ("filler_vocab_size", int, 50, 1),
-            ("caption_length_range", list, [6, 10], 2, 2, int),
-            ("values", list, ["female", "male"], 2),
-            ("theta_human", float, None),
-            ("theta_generated", float, None),
-        )
+        for name, kind, default, *size in table
     }
     theta = {name: float(fields.pop(name)) for name in ("theta_human", "theta_generated")}
     common = {**fields, "caption_length_range": tuple(fields["caption_length_range"]),
@@ -369,9 +364,11 @@ def run_metrics(args: argparse.Namespace) -> dict:
     results: dict[str, dict] = {}
 
     if PROTOCOL_METRICS & set(metrics):
+        fields = [key.split(".")[2] for key in SETTINGS
+                  if key.startswith("protocol.classifier.")]
         protocol = ProtocolConfig(
             n_seeds=args.n_seeds, test_fraction=args.test_fraction,
-            classifier=ClassifierConfig(**args.classifier),
+            classifier=ClassifierConfig(**{name: getattr(args, name) for name in fields}),
         )
         reports = run_protocol(human, generated, protocol, args.seed)
         wanted = set()
@@ -525,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--test-fraction", dest="test_fraction", type=float)
     report.add_argument("--top-k", dest="top_k", type=int)
     report.add_argument("--min-per-value", dest="min_per_value", type=int)
-    report.add_argument("--encoder", choices=["bag_mean", "birecurrent"])
+    report.add_argument("--encoder", dest="encoder_kind", choices=["bag_mean", "birecurrent"])
     report.add_argument("--epochs", type=int)
     report.add_argument("--learning-rate", dest="learning_rate", type=float)
     report.set_defaults(func=cmd_report)

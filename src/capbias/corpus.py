@@ -136,16 +136,16 @@ class TokenTable(NamedTuple):
         """The sorted, distinct keys `start[i] + j`, one for each caption i
         with `start[i] >= 0` and each column j that `columns[token]` lists
         for a token the caption holds; int32 where every key fits."""
-        lists = [columns.get(token, ()) for token in self.tokens]
+        rows = [(i, columns[t]) for i, t in enumerate(self.tokens) if t in columns]
         top = start.max(initial=0) + max((max(c) for c in columns.values() if c), default=0)
         # each token's caption's start
         start = np.repeat(start.astype(np.int32) if top < 2**31 else start,
                           np.diff(self.starts))
         keys = []
-        for k in range(max([1, *map(len, lists)])):
+        for k in range(max([1, *(len(c) for _, c in rows)])):
             # the k-th column of each token, or -1
-            column = np.fromiter((c[k] if len(c) > k else -1 for c in lists),
-                                 dtype=np.int32, count=len(lists))
+            column = np.full(len(self.tokens), -1, dtype=np.int32)
+            column[[i for i, c in rows if len(c) > k]] = [c[k] for _, c in rows if len(c) > k]
             hit = (column >= 0)[self.ids]
             hit &= start >= 0
             key = start[hit]

@@ -190,6 +190,15 @@ class _WorkerTraceback(Exception):
     """The formatted traceback of an exception raised in a training worker."""
 
 
+def _thread_cap() -> Optional[int]:
+    """CAPBIAS_THREADS, or None where it is unset or empty; a value that is
+    not a positive integer is an input error."""
+    cap = os.environ.get("CAPBIAS_THREADS")
+    if cap and not (cap.isdecimal() and int(cap) > 0):
+        raise CorpusError(f"CAPBIAS_THREADS must be a positive integer, got {cap!r}")
+    return int(cap) if cap else None
+
+
 def _n_workers(n_jobs: int) -> int:
     """Processes that train: as many as the usable CPUs hold at the BLAS
     threads each one runs, at most one per job and at most CAPBIAS_THREADS;
@@ -200,6 +209,7 @@ def _n_workers(n_jobs: int) -> int:
     `BLAS_THREAD_VARS`; each every usable CPU where none is set. Processes
     whose BLAS threads outnumber the CPUs wait on each other at every product.
     """
+    cap = _thread_cap()
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     cpus = len(os.sched_getaffinity(0))
@@ -212,12 +222,8 @@ def _n_workers(n_jobs: int) -> int:
     reads = [*own, "OMP_NUM_THREADS"] if own else BLAS_THREAD_VARS
     threads = [int(v) for v in map(os.environ.get, reads)
                if v and v.isdecimal() and int(v) > 0]
-    n = min(n_jobs, cpus // (threads[0] if own and threads else max(threads, default=cpus)))
-    cap = os.environ.get("CAPBIAS_THREADS")
-    if cap:
-        if not (cap.isdecimal() and int(cap) > 0):
-            raise CorpusError(f"CAPBIAS_THREADS must be a positive integer, got {cap!r}")
-        n = min(n, int(cap))
+    n = min(n_jobs, cap or n_jobs,
+            cpus // (threads[0] if own and threads else max(threads, default=cpus)))
     return max(n, 1)
 
 

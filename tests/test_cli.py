@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -20,7 +21,9 @@ from capbias.cli import (
     main,
     run_metrics,
 )
+from capbias.classifier import ClassifierConfig
 from capbias.corpus import CorpusError
+from capbias.lic import run_protocol
 from conftest import write_jsonl
 
 
@@ -119,6 +122,17 @@ class TestMask:
         assert f"{src}:2: caption is empty after tokenization" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("value,code", [("0", EXIT_VALIDATION), ("abc", EXIT_VALIDATION),
+                                            ("", EXIT_OK)])
+    def test_capbias_threads_is_checked_with_the_settings(self, tmp_path, monkeypatch,
+                                                          value, code):
+        # an empty value is unset
+        src = write_jsonl(tmp_path / "caps.jsonl", [{"caption_id": "c1", "caption": "a man"}])
+        out = tmp_path / "masked.jsonl"
+        monkeypatch.setenv("CAPBIAS_THREADS", value)
+        assert main(["mask", "--input", str(src), "--out", str(out), "--quiet"]) == code
+        assert out.exists() == (code == EXIT_OK)
+
     def test_config_keys_are_those_of_report(self, tmp_path, caplog):
         src = write_jsonl(tmp_path / "caps.jsonl", [{"caption_id": "c1", "caption": "a man"}])
         path = tmp_path / "config.json"
@@ -181,6 +195,16 @@ class TestSynth:
         assert oracle["bayes_accuracy_generated"] == 0.9
         assert len(read_jsonl(synth_dir / "human_captions.jsonl")) == 120
         assert len(read_jsonl(synth_dir / "annotations.jsonl")) == 120
+
+    def test_unknown_field_names_file_and_line(self, tmp_path, caplog):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_images": 20, "theta_human": 0.6,
+                                    "theta_generated": 0.9, "filler_vocab_sise": 7,
+                                    "sed": 3}))
+        assert main(["synth", "--spec", str(spec), "--out-dir",
+                     str(tmp_path / "corpus"), "--quiet"]) == EXIT_VALIDATION
+        assert f"{spec}:1: unknown field 'filler_vocab_sise'" in caplog.text
+        assert not (tmp_path / "corpus").exists()
 
     def test_missing_field_names_file_and_line(self, tmp_path, caplog):
         spec = tmp_path / "spec.json"
@@ -562,6 +586,7 @@ class TestReport:
          "'protocol.test_fraction': test_fraction must be in (0, 1)"),
         ({"protocol": {"test_fraction": 0}},
          "'protocol.test_fraction': test_fraction must be in (0, 1)"),
+        ({"protocol": {"classifier": {"seed": 3}}}, "unknown key 'protocol.classifier.seed'"),
     ])
     def test_wrong_config_value_names_file_and_key(self, synth_dir, tmp_path,
                                                     caplog, config, key):
@@ -571,6 +596,56 @@ class TestReport:
                                  extra=["--config", str(path)])
         assert main(args) == EXIT_VALIDATION
         assert f"{path}: " in caplog.text and key in caplog.text
+
+    def test_classifier_keys_reach_the_protocol_flag_over_file(self, synth_dir, tmp_path,
+                                                              monkeypatch):
+        import capbias.cli
+
+        received = []
+
+        def spy(human, generated, protocol, master_seed):
+            received.append(protocol)
+            return run_protocol(human, generated, protocol, master_seed)
+
+        monkeypatch.setattr(capbias.cli, "run_protocol", spy)
+        path = self._task_word_config(tmp_path)
+        config = json.loads(path.read_text())
+        config["protocol"] = {"n_seeds": 1, "classifier": {
+            "embed_dim": 8, "hidden_dim": 6, "encoder_kind": "bag_mean", "epochs": 3,
+            "learning_rate": 0.001, "batch_size": 16,
+        }}
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        args = self._report_args(synth_dir, out, "lic", extra=[
+            "--config", str(path), "--encoder", "birecurrent", "--epochs", "1",
+            "--learning-rate", "0.01",
+        ])
+        assert main(args) == EXIT_OK
+        expected = {"embed_dim": 8, "hidden_dim": 6, "encoder_kind": "birecurrent",
+                    "epochs": 1, "learning_rate": 0.01, "batch_size": 16}
+        [protocol] = received
+        assert dataclasses.asdict(protocol.classifier) == {**expected, "seed": 0}
+        report = json.loads(out.read_text())
+        assert (report["metrics"]["lic"]["config_hash"]
+                == ClassifierConfig(**expected).content_hash())
+
+    @pytest.mark.parametrize("metrics", ["ba", "lic"])
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_capbias_threads_fails_before_any_input_is_read(
+            self, synth_dir, tmp_path, monkeypatch, caplog, metrics, value):
+        import capbias.cli
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(capbias.cli, "load_corpus", unread)
+        monkeypatch.setenv("CAPBIAS_THREADS", value)
+        out = tmp_path / "r.json"
+        args = self._report_args(synth_dir, out, metrics,
+                                 extra=["--config", str(self._task_word_config(tmp_path))])
+        assert main(args) == EXIT_VALIDATION
+        assert f"CAPBIAS_THREADS must be a positive integer, got {value!r}" in caplog.text
+        assert not out.exists()
 
     def test_out_of_range_classifier_flag_names_the_flag(self, synth_dir, tmp_path,
                                                          caplog):
@@ -603,6 +678,9 @@ class TestReport:
         "annotations": 5, "objects": 5, "object_lexicon": 5, "task_words": [5],
         "top_k": "lots", "min_per_value": True, "protocol": 5,
         "protocol.n_seeds": 2.7, "protocol.test_fraction": "0.2", "protocol.classifier": 5,
+        "protocol.classifier.embed_dim": 64.0, "protocol.classifier.hidden_dim": "128",
+        "protocol.classifier.encoder_kind": 3, "protocol.classifier.epochs": True,
+        "protocol.classifier.learning_rate": "0.1", "protocol.classifier.batch_size": [32],
     }
 
     def test_every_config_key_has_a_wrong_typed_case(self):
@@ -614,8 +692,11 @@ class TestReport:
         # a config that `report --metrics ba` runs with, one value made wrong
         path = self._task_word_config(tmp_path)
         config = json.loads(path.read_text())
-        section, _, name = key.rpartition(".")
-        (config.setdefault(section, {}) if section else config)[name] = self.WRONG_TYPED[key]
+        *sections, name = key.split(".")
+        section = config
+        for part in sections:
+            section = section.setdefault(part, {})
+        section[name] = self.WRONG_TYPED[key]
         path.write_text(json.dumps(config))
         args = self._report_args(synth_dir, tmp_path / "r.json", "ba",
                                  extra=["--config", str(path)])
