@@ -15,11 +15,11 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from capbias.adam import adam_step, first_read_order
+from capbias.adam import adam_step, first_read_order, scratch_size
 from capbias.vocab import PAD_INDEX, Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -165,6 +165,38 @@ def _gather_batch(packed: Packed, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     return idx, present.astype(np.float64)
 
 
+def _epoch_reads(packed: Packed, order: np.ndarray,
+                 batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The token ids of the packed sequences `order`, one after another, and
+    the number of the batch of `batch_size` sequences that reads each."""
+    lengths = packed.lengths[order]
+    ends = np.cumsum(lengths)
+    # These arrays are as long as the epoch, so each token's index into
+    # `packed.tokens` is built in place and freed before the batch numbers,
+    # which are int32, are made.
+    at = np.arange(ends[-1])
+    at += np.repeat(packed.offsets[order] - (ends - lengths), lengths)
+    tokens = packed.tokens[at]
+    del at
+    return tokens, np.repeat(np.arange(len(order), dtype=np.int32) // batch_size, lengths)
+
+
+class _Workspace(NamedTuple):
+    """Flat arrays that a step's (B, L, E) temporaries are written into, at
+    their starts; where one is None, the step allocates the temporary."""
+
+    values: Optional[np.ndarray] = None  # float64: embedding gather, d_emb
+    flat: Optional[np.ndarray] = None  # int64: `_add_rows`' element indices
+
+
+def _view(work: Optional[np.ndarray], shape: tuple[int, ...],
+          dtype=np.float64) -> np.ndarray:
+    """A C-contiguous array of `shape` at the start of `work`, or a new one."""
+    if work is None:
+        return np.empty(shape, dtype)
+    return work[:math.prod(shape)].reshape(shape)
+
+
 # The birecurrent encoder steps both directions of a layer together: the state
 # is (2, B, H), and scan step s reads position s forward and L-1-s backward.
 # Arrays indexed by scan step have shape (L, 2, B, ...). Only the products that
@@ -282,9 +314,14 @@ def _birecurrent_layer_backward(cache, step_masks, d_steps, d_final, grads, laye
     return dx
 
 
-def _encode_batch(params, config, idx, mask, caches):
+def _encode_batch(params, config, idx, mask, caches, work):
     """Run the encoder; fills caches with intermediates for backprop."""
-    emb = params["embed"][idx] * mask[..., None]
+    emb = _view(work.values, idx.shape + (config.embed_dim,))
+    # `train`'s ids are in range, as it maps them through `rank`; "raise"
+    # would copy `emb` to check them again
+    np.take(params["embed"], idx, axis=0, out=emb,
+            mode="raise" if work.values is None else "clip")
+    emb *= mask[..., None]
     if config.encoder_kind == BAG_MEAN:
         lengths = mask.sum(axis=1)[:, None]
         caches["lengths"] = lengths
@@ -295,16 +332,20 @@ def _encode_batch(params, config, idx, mask, caches):
         Wx, Wh = params[f"Wx_{layer}"], params[f"Wh_{layer}"]
         states = _birecurrent_layer(layer_in, padded, Wx, Wh, params[f"bh_{layer}"])
         caches[f"layer_{layer}"] = (layer_in, Wx, Wh, states)
-        layer_in = _to_positions(states[1:])
+        if layer == 1:
+            layer_in = _to_positions(states[1:])
     return np.concatenate([states[-1, 0], states[-1, 1]], axis=1)
 
 
-def _encoder_backward(params, config, idx, mask, caches, d_enc, grads, embed_rows):
+def _encoder_backward(params, config, idx, mask, caches, d_enc, grads, embed_rows,
+                      work):
     """Write the encoder's gradients: the recurrent ones overwrite their
     arrays, the embedding's are added into `grads["embed"]`, each token's
     into its row in `embed_rows`."""
     if config.encoder_kind == BAG_MEAN:
-        d_emb = (d_enc / caches["lengths"])[:, None, :] * mask[..., None]
+        # the forward pass's embedding gather is no longer read
+        d_emb = _view(work.values, idx.shape + (d_enc.shape[1],))
+        np.multiply((d_enc / caches["lengths"])[:, None, :], mask[..., None], out=d_emb)
     else:
         step_masks = caches["step_masks"]
         batch, hidden = idx.shape[0], config.hidden_dim
@@ -316,25 +357,30 @@ def _encoder_backward(params, config, idx, mask, caches, d_enc, grads, embed_row
             np.zeros_like(d_final), grads, 1,
         )
         d_emb *= mask[..., None]
-    _add_rows(grads["embed"], embed_rows, d_emb)
+    _add_rows(grads["embed"], embed_rows, d_emb, work.flat)
 
 
-def _add_rows(table: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+def _add_rows(table: np.ndarray, idx: np.ndarray, values: np.ndarray,
+              flat: Optional[np.ndarray] = None) -> None:
     """`np.add.at(table, idx, values)` for a C-contiguous (V, E) `table`,
-    through element indices into its flat view: each element receives its
-    additions in the same order, so the sums have the same bits, and the
-    1-D call is about three times faster."""
+    through element indices into its flat view, written at the start of
+    `flat` if given: each element receives its additions in the same order,
+    so the sums have the same bits, and the 1-D call is about three times
+    faster."""
     width = table.shape[1]
-    np.add.at(table.reshape(-1), (idx[..., None] * width + np.arange(width)).ravel(),
-              values.ravel())
+    at = _view(flat, idx.shape + (width,), np.int64)
+    np.multiply(idx[..., None], width, out=at)
+    at += np.arange(width)
+    np.add.at(table.reshape(-1), at.reshape(-1), values.reshape(-1))
 
 
 def _forward_batch(
-    classifier: AttributeClassifier, idx: np.ndarray, mask: np.ndarray
+    classifier: AttributeClassifier, idx: np.ndarray, mask: np.ndarray,
+    work: _Workspace = _Workspace(),
 ) -> tuple[np.ndarray, dict]:
     params, config = classifier.params, classifier.config
     caches: dict = {}
-    enc = _encode_batch(params, config, idx, mask, caches)
+    enc = _encode_batch(params, config, idx, mask, caches, work)
     h_pre = enc @ params["W1"] + params["b1"]
     logits = _leaky(h_pre) @ params["W2"] + params["b2"]
     caches["enc"], caches["h_pre"] = enc, h_pre
@@ -348,16 +394,18 @@ def _loss_and_grads(
     labels: np.ndarray,
     grads: dict[str, np.ndarray],
     embed_rows: np.ndarray | None = None,
+    work: _Workspace = _Workspace(),
 ) -> float:
     """Mean cross-entropy of a batch; its gradients are written into `grads`.
 
     The embedding's gradient is added in, so its array must hold zeros on
     entry; every other gradient overwrites its array. The gradient of the
     token `idx[i, j]` is added to row `embed_rows[i, j]` of `grads["embed"]`,
-    by default row `idx[i, j]`.
+    by default row `idx[i, j]`. The largest temporaries are written into
+    `work`'s arrays where it has them.
     """
     params, config = classifier.params, classifier.config
-    logits, caches = _forward_batch(classifier, idx, mask)
+    logits, caches = _forward_batch(classifier, idx, mask, work)
     probs = _softmax(logits)
     batch = idx.shape[0]
     loss = float(-np.log(probs[np.arange(batch), labels] + 1e-300).mean())
@@ -373,7 +421,7 @@ def _loss_and_grads(
     d_h.sum(axis=0, out=grads["b1"])
     d_enc = d_h @ params["W1"].T
     _encoder_backward(params, config, idx, mask, caches, d_enc, grads,
-                      idx if embed_rows is None else embed_rows)
+                      idx if embed_rows is None else embed_rows, work)
     return loss
 
 
@@ -418,24 +466,32 @@ def train(
     buffer, embed = classifier.buffer, classifier.params["embed"]
     n_rows, width = embed.shape
     head = len(buffer) - n_rows  # the rows of the other parameters
-    rows = first_read_order(
-        (_gather_batch(sequences, order[start:start + config.batch_size])[0]
-         for start in range(0, len(order), config.batch_size)),
-        n_rows, PAD_INDEX + 1,
-    )
+    rows = first_read_order(*_epoch_reads(sequences, order, config.batch_size),
+                            n_rows, PAD_INDEX + 1)
     rank = np.empty(n_rows, dtype=np.int64)
     rank[rows] = np.arange(n_rows)
 
-    # The Adam moments have the buffer's layout. A batch's gradient has its
-    # head rows, then the embedding rows the batch read.
-    shapes = {key: value.shape for key, value in classifier.params.items()
-              if key != "embed"}
+    # The Adam moments have the buffer's layout.
     moment1, moment2 = np.zeros(buffer.shape), np.zeros(buffer.shape)
     # The embedding into first-read order, through the first moment's rows.
     np.take(embed, rows, axis=0, out=moment1[head:], mode="clip")
     embed[...] = moment1[head:]
     moment1[head:] = 0.0
-    head_rows = np.arange(head)
+
+    # Every step writes into views of these arrays, made once and sized to
+    # the largest batch: its B captions of at most L tokens read at most
+    # B * L embedding rows. The float64 one serves the passes' (B, L, E)
+    # temporaries and then the Adam step's scratch. A batch's gradient has
+    # the head rows, whose gradients overwrite their views and whose padding
+    # stays zero, then the embedding rows the batch read, zeroed before each
+    # step; `grad_rows` names those rows in the buffer.
+    reads = min(config.batch_size, len(sequences)) * int(sequences.lengths.max())
+    floats = np.empty(max(reads * width, scratch_size(len(buffer), width)))
+    work = _Workspace(floats, np.empty(reads * width, dtype=np.int64))
+    grad = np.zeros((head + min(reads, n_rows), width))
+    grads = _views(grad, {key: value.shape for key, value in classifier.params.items()
+                          if key != "embed"})
+    grad_rows = np.arange(len(grad))
 
     read = np.zeros(n_rows, dtype=bool)
     slot = np.empty(n_rows, dtype=np.int64)
@@ -455,10 +511,11 @@ def train(
                 hit = np.flatnonzero(read)
                 read[hit] = False
                 slot[hit] = np.arange(len(hit))
-                grad = np.zeros((head + len(hit), width))
-                grads = {"embed": grad[head:], **_views(grad, shapes)}
+                used = head + len(hit)
+                grads["embed"] = grad[head:used]
+                grads["embed"].fill(0.0)
                 loss = _loss_and_grads(classifier, idx, mask, labels_arr[batch_ids],
-                                       grads, slot[idx])
+                                       grads, slot[idx], work)
                 if not np.isfinite(loss):
                     raise ClassifierError(
                         f"non-finite loss at epoch {epoch}, step {step}: {loss}"
@@ -466,11 +523,15 @@ def train(
                 step += 1
                 n_read = max(n_read, int(hit[-1]) + 1)
                 prefix = slice(head + n_read)
-                adam_step(buffer[prefix], grad, moment1[prefix], moment2[prefix],
-                          config.learning_rate, step, np.append(head_rows, head + hit))
+                np.add(hit, head, out=grad_rows[head:used])
+                adam_step(buffer[prefix], grad[:used], moment1[prefix], moment2[prefix],
+                          config.learning_rate, step, grad_rows[:used], floats)
                 # min and max propagate NaN and reach any infinity, and unlike
                 # isfinite(buffer) they allocate no temporary as large as it.
-                if not (np.isfinite(buffer.min()) and np.isfinite(buffer.max())):
+                # The rows past the prefix do not change, so after the first
+                # step only the prefix is checked.
+                checked = buffer if step == 1 else buffer[prefix]
+                if not (np.isfinite(checked.min()) and np.isfinite(checked.max())):
                     key = next(k for k, v in classifier.params.items()
                                if not np.isfinite(v).all())
                     raise ClassifierError(

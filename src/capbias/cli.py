@@ -171,6 +171,8 @@ def load_settings(args: argparse.Namespace) -> argparse.Namespace:
                     f"{where} has unknown names {sorted(set(value) - set(check))} "
                     f"(expected some of {', '.join(check)})"
                 )
+        if kind is float:  # so that `1` and `1.0` give one config hash
+            value = float(value)
         if kind is not dict:
             setattr(args, name, value)
     return args

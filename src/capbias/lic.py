@@ -262,20 +262,22 @@ def _work(jobs: list, share: list[int], read_fd: int, write_fd: int) -> None:
         os._exit(code)
 
 
-def _run_jobs(jobs: list, sizes: list[int]):
+def _run_jobs(jobs: list, sizes: list[int], meanwhile=lambda: None):
     """Call every job; yield the results in job order.
 
     The jobs run in W processes, W from `_n_workers`. At W = 1 this process
-    calls each job in turn. Otherwise W - 1 workers are forked once. Largest
-    first, each job goes to the process with the least work so far, so this
-    process takes the largest; each process runs its share in job order and
-    stops at its first failure. Once this process has run its share and read
-    every worker's outcomes, the results are yielded in job order, and the
-    first failed job in job order raises its exception, so the error raised
-    is the same at any W.
+    calls `meanwhile`, then each job in turn. Otherwise W - 1 workers are
+    forked once. Largest first, each job goes to the process with the least
+    work so far, so this process takes the largest; each process runs its
+    share in job order and stops at its first failure. This process then
+    calls `meanwhile` while the workers may still run. Once it has read every
+    worker's outcomes, the results are yielded in job order, and the first
+    failed job in job order raises its exception, so the error raised is the
+    same at any W.
     """
     n = _n_workers(len(jobs))
     if n == 1:
+        meanwhile()
         yield from (job() for job in jobs)
         return
     shares: list[list[int]] = [[] for _ in range(n)]
@@ -294,6 +296,7 @@ def _run_jobs(jobs: list, sizes: list[int]):
             os.close(write_fd)
             workers.append((k, pid, os.fdopen(read_fd, "rb")))
         outcomes = _run_share(jobs, sorted(shares[0]))
+        meanwhile()
         while workers:
             k, pid, pipe = workers[0]
             with pipe:
@@ -405,8 +408,15 @@ def run_protocol(
     jobs = [functools.partial(_fit_and_predict, seed, side, len(spec.values))
             for seed, side in pairs]
     sizes = [int(side.ids.lengths[_rows(side, seed.in_train)].sum()) for seed, side in pairs]
+    # Both corpora are hashed for the provenance while the workers train.
+    hashes: dict[str, str] = {}
+
+    def hash_corpora() -> None:
+        hashes.update(human=human_corpus.content_hash(),
+                      generated=generated_corpus.content_hash())
+
     scores = []
-    for (seed, side), probs in zip(pairs, _run_jobs(jobs, sizes)):
+    for (seed, side), probs in zip(pairs, _run_jobs(jobs, sizes, hash_corpora)):
         test_y = side.labels[_rows(side, seed.in_test)]
         scores.append((lic_component(probs, test_y), sc_accuracy(probs, test_y)))
 
@@ -431,10 +441,7 @@ def run_protocol(
         "n_seeds": config.n_seeds,
         "test_fraction": config.test_fraction,
         "config_hash": config.classifier.content_hash(),
-        "corpus_hashes": {
-            "human": human_corpus.content_hash(),
-            "generated": generated_corpus.content_hash(),
-        },
+        "corpus_hashes": hashes,
         "scale": "x100",
     }
     if config.n_seeds == 1:

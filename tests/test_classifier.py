@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capbias.adam import ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS
+from capbias.adam import ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS, first_read_order
 from capbias.classifier import (
     LEAKY_SLOPE,
     ClassifierConfig,
     ClassifierError,
     Packed,
     _add_rows,
+    _epoch_reads,
     _gather_batch,
     _loss_and_grads,
     _softmax,
@@ -360,6 +361,39 @@ class TestAdamReference:
         assert len(fast.training_log) == 2
 
 
+    @staticmethod
+    def _train_both(encoder, sequences, **overrides):
+        vocabulary = build_vocab(Counter(f"v{i}" for i in range(60)), mask_token="<gender>")
+        labels = [int(seq[0]) % 3 for seq in sequences]
+        config = small_config(encoder_kind=encoder, **overrides)
+        fast = train(init_classifier(config, vocabulary, 3), Packed.from_lists(sequences),
+                     labels)
+        slow = reference_train(init_classifier(config, vocabulary, 3), sequences, labels)
+        assert list(fast.params) == list(slow.params)
+        for key in slow.params:
+            assert np.array_equal(fast.params[key], slow.params[key]), key
+        assert fast.training_log == slow.training_log
+
+    @pytest.mark.parametrize("encoder", ["bag_mean", "birecurrent"])
+    def test_batch_larger_than_training_set(self, encoder):
+        rng = np.random.default_rng(13)
+        sequences = [rng.integers(3, 63, size=int(rng.integers(1, 9))).tolist()
+                     for _ in range(7)]
+        self._train_both(encoder, sequences, epochs=3, batch_size=16, seed=6)
+
+    @pytest.mark.parametrize("encoder", ["bag_mean", "birecurrent"])
+    def test_long_batch_then_shorter_ones(self, encoder):
+        # The first batch holds the longest captions and reads the most rows,
+        # so the step workspace and gradient rows that the later, shorter
+        # batches leave unwritten hold that batch's values.
+        rng = np.random.default_rng(14)
+        seed, batch_size, n = 8, 5, 22
+        first_batch = np.random.default_rng([seed, 1]).permutation(n)[:batch_size]
+        sequences = [rng.integers(3, 63, size=12 if i in first_batch else
+                                  int(rng.integers(1, 4))).tolist() for i in range(n)]
+        self._train_both(encoder, sequences, epochs=2, batch_size=batch_size, seed=seed)
+
+
 # At this embed_dim a chunk of the Adam update is 16 embedding rows, so the
 # rows the batches read span several chunks and their boundaries.
 WIDE_DIM = ADAM_CHUNK // 16
@@ -404,6 +438,31 @@ class TestFirstReadOrder:
         for key in slow.params:
             assert np.array_equal(fast.params[key], slow.params[key]), key
         assert fast.training_log == slow.training_log
+
+    @settings(max_examples=60, deadline=None)
+    @given(sequences=st.lists(st.lists(st.integers(0, 29), min_size=1, max_size=8),
+                              min_size=1, max_size=20),
+           batch_size=st.integers(1, 7), seed=st.integers(0, 2 ** 16))
+    def test_order_matches_per_batch_reference(self, sequences, batch_size, seed):
+        # as in `train`: the rows up to the padding's stay in place
+        n_rows, n_fixed = 30, PAD_INDEX + 1
+        # stored last sequence first, as a split's sequences are not in order
+        packed = Packed.from_lists(sequences[::-1])
+        packed = Packed(packed.tokens, packed.offsets[::-1], packed.lengths[::-1])
+        order = np.random.default_rng(seed).permutation(len(sequences))
+        got = first_read_order(*_epoch_reads(packed, order, batch_size), n_rows, n_fixed)
+        # one padded batch at a time; padding reads PAD_INDEX
+        seen = np.zeros(n_rows, dtype=bool)
+        seen[:n_fixed] = True
+        expected = list(range(n_fixed))
+        for start in range(0, len(order), batch_size):
+            idx, _ = _pad_batch([sequences[i] for i in order[start:start + batch_size]])
+            read = np.zeros(n_rows, dtype=bool)
+            read[idx] = True
+            new = np.flatnonzero(read & ~seen)
+            expected += new.tolist()
+            seen[new] = True
+        assert got.tolist() == expected + np.flatnonzero(~seen).tolist()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_parameter_in_unread_row_names_key(self):

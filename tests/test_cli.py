@@ -629,6 +629,25 @@ class TestReport:
         assert (report["metrics"]["lic"]["config_hash"]
                 == ClassifierConfig(**expected).content_hash())
 
+    def test_integer_and_float_learning_rate_give_one_config_hash(self, synth_dir,
+                                                                   tmp_path):
+        reports = []
+        for rate in (1, 1.0):
+            path = self._task_word_config(tmp_path)
+            config = json.loads(path.read_text())
+            config["protocol"] = {"n_seeds": 1, "classifier": {
+                "embed_dim": 4, "hidden_dim": 4, "epochs": 1, "learning_rate": rate,
+            }}
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"{rate!r}.json"
+            assert main(self._report_args(synth_dir, out, "lic",
+                                          extra=["--config", str(path)])) == EXIT_OK
+            reports.append(json.loads(out.read_text())["metrics"]["lic"])
+        integer, floating = reports
+        assert integer["config_hash"] == floating["config_hash"] == ClassifierConfig(
+            embed_dim=4, hidden_dim=4, epochs=1, learning_rate=1.0).content_hash()
+        assert integer["per_seed"] == floating["per_seed"]
+
     @pytest.mark.parametrize("metrics", ["ba", "lic"])
     @pytest.mark.parametrize("value", ["0", "abc"])
     def test_bad_capbias_threads_fails_before_any_input_is_read(

@@ -425,6 +425,17 @@ class TestRunJobs:
         in_parent = {j for j, here in results if here}
         assert in_parent == ({1, 2, 4, 6} if n == 2 else set(range(7)))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_meanwhile_runs_once_here_after_this_process_share(self, monkeypatch, n):
+        self._workers(monkeypatch, n)
+        called = []  # a forked worker's calls do not reach this list
+        jobs = [lambda j=j: called.append(j) or j for j in range(7)]
+        results = list(lic_module._run_jobs(jobs, [3, 9, 1, 4, 4, 8, 2],
+                                            lambda: called.append("meanwhile")))
+        assert results == list(range(7))
+        assert called == ([1, 2, 4, 6, "meanwhile"] if n == 2
+                          else ["meanwhile", *range(7)])
+
     def test_one_process_calls_each_job_as_its_result_is_read(self, monkeypatch):
         self._workers(monkeypatch, 1)
         called = []
