@@ -140,9 +140,8 @@ def load_settings(args: argparse.Namespace) -> argparse.Namespace:
     """Set the `args` attribute of every row of `SETTINGS` but a section to
     its flag's value if given, else to the config file's value, else to the
     default, before any input file is read. Every value in the file and every
-    flag given is checked, and CAPBIAS_THREADS too, so an unknown key or a
-    wrong value is an input error naming the file and key, or the flag."""
-    lic_mod._thread_cap()
+    flag given is checked, so an unknown key or a wrong value is an input
+    error naming the file and key, or the flag."""
     path, config = args.config, {}
     if path is not None:
         config = _read_json(path)[0]

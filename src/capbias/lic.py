@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from capbias import BLAS_THREAD_VARS
 from capbias import classifier as clf
 from capbias.classifier import ClassifierConfig
 from capbias.corpus import Corpus, CorpusError, balanced_image_split
@@ -33,6 +32,9 @@ logger = logging.getLogger(__name__)
 SCALE = 100.0
 
 _MASK64 = (1 << 64) - 1
+
+# The variables BLAS libraries read their thread count from when they load.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -190,26 +192,16 @@ class _WorkerTraceback(Exception):
     """The formatted traceback of an exception raised in a training worker."""
 
 
-def _thread_cap() -> Optional[int]:
-    """CAPBIAS_THREADS, or None where it is unset or empty; a value that is
-    not a positive integer is an input error."""
-    cap = os.environ.get("CAPBIAS_THREADS")
-    if cap and not (cap.isdecimal() and int(cap) > 0):
-        raise CorpusError(f"CAPBIAS_THREADS must be a positive integer, got {cap!r}")
-    return int(cap) if cap else None
-
-
 def _n_workers(n_jobs: int) -> int:
     """Processes that train: as many as the usable CPUs hold at the BLAS
-    threads each one runs, at most one per job and at most CAPBIAS_THREADS;
-    one where the platform cannot fork.
+    threads each one runs, at most one per job; one where the platform
+    cannot fork.
 
     OpenBLAS and MKL run the count of their own variable, else of
     OMP_NUM_THREADS; another BLAS, or one numpy does not name, the largest of
     `BLAS_THREAD_VARS`; each every usable CPU where none is set. Processes
     whose BLAS threads outnumber the CPUs wait on each other at every product.
     """
-    cap = _thread_cap()
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     cpus = len(os.sched_getaffinity(0))
@@ -222,8 +214,7 @@ def _n_workers(n_jobs: int) -> int:
     reads = [*own, "OMP_NUM_THREADS"] if own else BLAS_THREAD_VARS
     threads = [int(v) for v in map(os.environ.get, reads)
                if v and v.isdecimal() and int(v) > 0]
-    n = min(n_jobs, cap or n_jobs,
-            cpus // (threads[0] if own and threads else max(threads, default=cpus)))
+    n = min(n_jobs, cpus // (threads[0] if own and threads else max(threads, default=cpus)))
     return max(n, 1)
 
 

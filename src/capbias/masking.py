@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from capbias.corpus import AttributeSpec, CorpusError
+from capbias.corpus import AttributeSpec, CorpusError, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -98,12 +98,21 @@ class Masker:
         return found
 
 
+def _one_token(word: str) -> bool:
+    try:
+        return tokenize(word) == [word]
+    except CorpusError:  # nothing survives tokenization
+        return False
+
+
 def load_word_list_file(
     path: Path | str,
 ) -> tuple[dict[str, tuple[str, ...]], dict[str, str]]:
     """Parse a word-list TSV: value<TAB>word[<TAB>irregular_plural].
 
     Lines starting with '#' are comments. Returns (word_lists, overrides).
+    An empty value, or a word or plural that is not the one token `tokenize`
+    makes of it, is an input error naming the line: no caption could match it.
     """
     path = Path(path)
     word_lists: dict[str, list[str]] = {}
@@ -116,10 +125,15 @@ def load_word_list_file(
             parts = line.split("\t")
             if len(parts) not in (2, 3):
                 raise CorpusError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
-            value, word = parts[0].strip(), parts[1].strip()
+            value, word, plural = [part.strip() for part in parts] + [""] * (3 - len(parts))
+            if not value:
+                raise CorpusError(f"{path}:{lineno}: the value is empty")
+            for form in (word, plural) if plural else (word,):
+                if not _one_token(form):
+                    raise CorpusError(f"{path}:{lineno}: {form!r} is not one lowercase token")
             word_lists.setdefault(value, []).append(word)
-            if len(parts) == 3 and parts[2].strip():
-                overrides[word] = parts[2].strip()
+            if plural:
+                overrides[word] = plural
     return {v: tuple(ws) for v, ws in word_lists.items()}, overrides
 
 

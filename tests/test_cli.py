@@ -122,17 +122,6 @@ class TestMask:
         assert f"{src}:2: caption is empty after tokenization" in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("value,code", [("0", EXIT_VALIDATION), ("abc", EXIT_VALIDATION),
-                                            ("", EXIT_OK)])
-    def test_capbias_threads_is_checked_with_the_settings(self, tmp_path, monkeypatch,
-                                                          value, code):
-        # an empty value is unset
-        src = write_jsonl(tmp_path / "caps.jsonl", [{"caption_id": "c1", "caption": "a man"}])
-        out = tmp_path / "masked.jsonl"
-        monkeypatch.setenv("CAPBIAS_THREADS", value)
-        assert main(["mask", "--input", str(src), "--out", str(out), "--quiet"]) == code
-        assert out.exists() == (code == EXIT_OK)
-
     def test_config_keys_are_those_of_report(self, tmp_path, caplog):
         src = write_jsonl(tmp_path / "caps.jsonl", [{"caption_id": "c1", "caption": "a man"}])
         path = tmp_path / "config.json"
@@ -176,6 +165,17 @@ class TestMask:
                      "--wordlist", str(wordlist), "--mask-token", "<age>",
                      "--quiet"]) == EXIT_OK
         assert read_jsonl(out)[0]["tokens"] == ["two", "<age>", "and", "an", "<age>"]
+
+    def test_wordlist_word_that_no_caption_can_match_is_an_input_error(self, tmp_path,
+                                                                      caplog):
+        wordlist = tmp_path / "words.tsv"
+        wordlist.write_text("young\tchild\tchildren\nold\t\n")
+        src = write_jsonl(tmp_path / "caps.jsonl", [{"caption_id": "c1", "caption": "a"}])
+        out = tmp_path / "masked.jsonl"
+        assert main(["mask", "--input", str(src), "--out", str(out),
+                     "--wordlist", str(wordlist), "--quiet"]) == EXIT_VALIDATION
+        assert f"{wordlist}:2: '' is not one lowercase token" in caplog.text
+        assert not out.exists()
 
     def test_out_is_required(self, tmp_path, capsys):
         src = write_jsonl(tmp_path / "caps.jsonl", [{"caption_id": "c1", "caption": "a man"}])
@@ -552,7 +552,7 @@ class TestReport:
 
         monkeypatch.setattr(capbias.classifier, "predict_proba", counted)
         # A forked worker's calls never reach the spy: train in this process.
-        monkeypatch.setenv("CAPBIAS_THREADS", "1")
+        monkeypatch.setattr(capbias.lic, "_n_workers", lambda n_jobs: 1)
         args = self._report_args(
             synth_dir, tmp_path / "r.json", "lic,sc,leakage",
             extra=["--config", str(self._task_word_config(tmp_path)),
@@ -647,24 +647,6 @@ class TestReport:
         assert integer["config_hash"] == floating["config_hash"] == ClassifierConfig(
             embed_dim=4, hidden_dim=4, epochs=1, learning_rate=1.0).content_hash()
         assert integer["per_seed"] == floating["per_seed"]
-
-    @pytest.mark.parametrize("metrics", ["ba", "lic"])
-    @pytest.mark.parametrize("value", ["0", "abc"])
-    def test_bad_capbias_threads_fails_before_any_input_is_read(
-            self, synth_dir, tmp_path, monkeypatch, caplog, metrics, value):
-        import capbias.cli
-
-        def unread(*args, **kwargs):
-            raise AssertionError("an input was read")
-
-        monkeypatch.setattr(capbias.cli, "load_corpus", unread)
-        monkeypatch.setenv("CAPBIAS_THREADS", value)
-        out = tmp_path / "r.json"
-        args = self._report_args(synth_dir, out, metrics,
-                                 extra=["--config", str(self._task_word_config(tmp_path))])
-        assert main(args) == EXIT_VALIDATION
-        assert f"CAPBIAS_THREADS must be a positive integer, got {value!r}" in caplog.text
-        assert not out.exists()
 
     def test_out_of_range_classifier_flag_names_the_flag(self, synth_dir, tmp_path,
                                                          caplog):
@@ -917,25 +899,23 @@ class TestReport:
         assert lines[2].split()[0] == "ba"
 
 
-@pytest.mark.skipif(
-    not Path("/proc/self/status").exists() or (os.cpu_count() or 1) < 2,
-    reason="needs /proc and at least two CPUs to tell one BLAS thread apart",
-)
-def test_capbias_threads_caps_blas_threads():
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+def test_import_writes_no_environment_variable():
+    # CAPBIAS_THREADS, which capbias once copied into the BLAS thread
+    # variables at import, is set to show that nothing reads it now
+    env = {k: v for k, v in os.environ.items() if k not in capbias.lic.BLAS_THREAD_VARS}
     env["CAPBIAS_THREADS"] = "1"
     env["PYTHONPATH"] = str(Path(capbias.__file__).parents[1])
     script = (
-        "import capbias.cli, re\n"
-        "status = open('/proc/self/status').read()\n"
-        "print(re.search(r'^Threads:\\s*(\\d+)', status, re.M).group(1))\n"
+        "import json, os\n"
+        "before = dict(os.environ)\n"
+        "import capbias.cli\n"
+        "print(json.dumps(sorted(set(os.environ.items()) ^ set(before.items()))))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True,
         text=True, check=True, timeout=60,
     )
-    assert out.stdout.strip() == "1"
+    assert json.loads(out.stdout) == []
 
 
 def _coco_shaped_inputs(directory):
@@ -1061,26 +1041,27 @@ def _lic_inputs(directory, pair="synth"):
 def test_lic_report_same_with_one_and_two_blas_threads(synth_dir, tmp_path, encoder,
                                                        n_seeds, pair):
     """The same report from one BLAS thread in one process, two BLAS threads
-    in one process, and one BLAS thread in each of two training processes."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                        "CAPBIAS_THREADS")}
+    in one process, and one BLAS thread in each of two training processes.
+    Each run has as many usable CPUs as BLAS threads, as `taskset` gives."""
+    env = {k: v for k, v in os.environ.items() if k not in capbias.lic.BLAS_THREAD_VARS}
     env["PYTHONPATH"] = str(Path(capbias.__file__).parents[1])
     inputs = _lic_inputs(synth_dir if pair == "synth" else tmp_path, pair)
-    runs = {
-        "one-thread": {"CAPBIAS_THREADS": "1"},
-        "two-threads": {"CAPBIAS_THREADS": "2"},
-        "two-workers": {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-                        "MKL_NUM_THREADS": "1"},
+    cpus = sorted(os.sched_getaffinity(0))
+    runs = {  # BLAS threads per process, usable CPUs
+        "one-thread": ("1", cpus[:1]),
+        "two-threads": ("2", cpus[:2]),
+        "two-workers": ("1", cpus[:2]),
     }
     reports = []
-    for name, extra in runs.items():
+    for name, (threads, usable) in runs.items():
         out = tmp_path / f"report-{name}.json"
         subprocess.run(
             [sys.executable, "-m", "capbias.cli", "report", "--metrics", "lic,sc,leakage",
              *inputs, "--encoder", encoder, "--n-seeds", str(n_seeds), "--epochs", "2",
              "--out", str(out), "--quiet"],
-            env={**env, **extra}, check=True, timeout=300,
+            env={**env, **dict.fromkeys(capbias.lic.BLAS_THREAD_VARS, threads)},
+            preexec_fn=lambda usable=usable: os.sched_setaffinity(0, usable),
+            check=True, timeout=300,
         )
         report = json.loads(out.read_text())
         del report["timestamp"]

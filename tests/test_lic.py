@@ -281,7 +281,7 @@ def recorded_sets(human, generated, config, master_seed):
             mock.patch.object(clf, "train", record_train), \
             mock.patch.object(clf, "predict_proba", record_predict), \
             mock.patch.object(lic_module, "lic_component", record_component):
-        monkeypatch.setenv("CAPBIAS_THREADS", "1")
+        monkeypatch.setattr(lic_module, "_n_workers", lambda n_jobs: 1)
         run_protocol(human, generated, config, master_seed=master_seed)
     assert [kind for kind, *_ in seen] == ["train", "test", "score"] * (2 * config.n_seeds)
     return [
@@ -480,8 +480,7 @@ class TestRunJobs:
         assert sorted(ran.read_text().split()) == (["0", "1", "2"] if n == 2 else ["0", "1"])
 
 
-# as after CAPBIAS_THREADS=4 filled in the BLAS variables that
-# OPENBLAS_NUM_THREADS=1 left unset
+# OpenBLAS at one thread, the other variables at four
 FILLED = {"OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": "4", "OPENBLAS_NUM_THREADS": "1"}
 
 
@@ -503,8 +502,7 @@ class TestWorkerCount:
             pytest.skip("no CPU affinity on this platform")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(np, "show_config", _show_config("scipy-openblas"))
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "CAPBIAS_THREADS"):
+        for var in lic_module.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
 
     @pytest.mark.parametrize("env,n_jobs,expected", [
@@ -514,11 +512,6 @@ class TestWorkerCount:
         # OpenBLAS reads its own variable first
         ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, 6, 4),
         ({"MKL_NUM_THREADS": "8"}, 6, 1),
-        ({"OPENBLAS_NUM_THREADS": "1", "CAPBIAS_THREADS": "3"}, 6, 3),
-        ({"CAPBIAS_THREADS": "1"}, 6, 1),
-        # as after CAPBIAS_THREADS filled in the BLAS variables at import
-        ({"CAPBIAS_THREADS": "2", "OMP_NUM_THREADS": "2"}, 6, 2),
-        ({**FILLED, "CAPBIAS_THREADS": "4"}, 6, 4),
         ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "0"}, 6, 2),
     ])
     def test_worker_count(self, monkeypatch, env, n_jobs, expected):
@@ -543,8 +536,14 @@ class TestWorkerCount:
             monkeypatch.setenv(var, value)
         assert lic_module._n_workers(6) == expected
 
-    @pytest.mark.parametrize("value", ["0", "two", "-1"])
-    def test_bad_capbias_threads_is_an_input_error(self, monkeypatch, value):
-        monkeypatch.setenv("CAPBIAS_THREADS", value)
-        with pytest.raises(CorpusError, match="CAPBIAS_THREADS must be a positive integer"):
-            lic_module._n_workers(2)
+    @pytest.mark.parametrize("env", [
+        {},
+        {"OPENBLAS_NUM_THREADS": "1"},
+        dict.fromkeys(lic_module.BLAS_THREAD_VARS, "1"),
+    ])
+    def test_one_usable_cpu_is_one_worker(self, monkeypatch, env):
+        # `taskset -c 0`: one process, whatever the BLAS threads
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert lic_module._n_workers(6) == 1

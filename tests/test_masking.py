@@ -1,3 +1,4 @@
+import re
 from itertools import accumulate
 
 import numpy as np
@@ -168,6 +169,26 @@ def test_word_list_file_roundtrip(tmp_path):
     word_lists, overrides = load_word_list_file(path)
     assert word_lists == {"female": ("woman", "girl"), "male": ("man",)}
     assert overrides == {"woman": "women", "man": "men"}
+
+
+@pytest.mark.parametrize("line,error", [
+    # "" would mask every "s" token as its plural
+    ("female\t", "'' is not one lowercase token"),
+    ("female\t\twomen", "'' is not one lowercase token"),
+    ("\twoman", "the value is empty"),
+    # tokens are lowercase words without edge punctuation: none of these matches
+    ("female\tWoman", "'Woman' is not one lowercase token"),
+    ("female\tyoung woman", "'young woman' is not one lowercase token"),
+    ("female\twoman\tWomen", "'Women' is not one lowercase token"),
+    ("female\twoman\tyoung women", "'young women' is not one lowercase token"),
+    ("female\twoman.", "'woman.' is not one lowercase token"),
+], ids=["empty-word", "empty-word-with-plural", "empty-value", "capital", "two-words",
+        "capital-plural", "two-word-plural", "punctuation"])
+def test_word_list_file_rejects_a_word_no_caption_can_match(tmp_path, line, error):
+    path = tmp_path / "words.tsv"
+    path.write_text(f"male\tman\tmen\n{line}\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{re.escape(f'{path}:2: {error}')}$"):
+        load_word_list_file(path)
 
 
 def test_default_gender_spec_covers_core_words(gender_spec):
