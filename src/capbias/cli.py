@@ -18,8 +18,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from capbias import cooccur, lic as lic_mod, masking, synth
 from capbias.classifier import ClassifierConfig, ClassifierError
 from capbias.corpus import (
@@ -40,7 +38,19 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-ALL_METRICS = ("lic", "leakage", "sc", "ba", "dba_g", "dba_o", "ratio", "error")
+# The inputs each metric reads besides the generated captions; a report lists
+# its metrics in this order.
+NEEDS = {
+    "lic": ("human_captions", "annotations"),
+    "leakage": ("human_captions", "annotations"),
+    "sc": ("human_captions", "annotations"),
+    "ba": ("human_captions",),
+    "dba_g": ("human_captions", "objects"),
+    "dba_o": ("human_captions", "annotations", "object_lexicon"),
+    "ratio": (),
+    "error": ("annotations",),
+}
+ALL_METRICS = tuple(NEEDS)
 PROTOCOL_METRICS = {"lic", "leakage", "sc"}
 
 # The settings of `mask` and `report`, one row per config key: its JSON type,
@@ -227,15 +237,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     at = f"{args.spec}:{lineno}"
     if not isinstance(spec_obj, dict):
         raise CorpusError(f"{at}: expected a JSON object")
-    # name, JSON type, default, then the least value or length, the most
-    # length and the item type; `marker_words` and `seed` are read below
+    # name, JSON type, least value or length, most length, item type; an absent
+    # field takes `SynthSpec`'s default; `marker_words` and `seed` are read below
     table = (
-        ("n_images", int, None),
-        ("filler_vocab_size", int, 50, 1),
-        ("caption_length_range", list, [6, 10], 2, 2, int),
-        ("values", list, ["female", "male"], 2),
-        ("theta_human", float, None),
-        ("theta_generated", float, None),
+        ("n_images", int),
+        ("filler_vocab_size", int, 1),
+        ("caption_length_range", list, 2, 2, int),
+        ("values", list, 2),
+        ("theta_human", float),
+        ("theta_generated", float),
     )
     for name in spec_obj:
         if name not in {"marker_words", "seed", *(row[0] for row in table)}:
@@ -244,13 +254,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if name not in spec_obj:
             raise CorpusError(f"{at}: missing field {name!r}")
 
-    fields = {
-        name: _checked(spec_obj.get(name, default), kind, f"{at}: field {name!r}", *size)
-        for name, kind, default, *size in table
+    common = {
+        name: _checked(spec_obj[name], kind, f"{at}: field {name!r}", *size)
+        for name, kind, *size in table if name in spec_obj
     }
-    theta = {name: float(fields.pop(name)) for name in ("theta_human", "theta_generated")}
-    common = {**fields, "caption_length_range": tuple(fields["caption_length_range"]),
-              "values": tuple(fields["values"]), "marker_words": dict(synth.DEFAULT_MARKERS)}
+    theta = {name: float(common.pop(name)) for name in ("theta_human", "theta_generated")}
+    common = {name: tuple(v) if isinstance(v, list) else v for name, v in common.items()}
     if "marker_words" in spec_obj:
         where = f"{at}: field 'marker_words'"
         common["marker_words"] = {
@@ -286,7 +295,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "expected_ba_x100": 100 * synth.expected_ba(human_spec, generated_spec),
         "bayes_accuracy_human": synth.bayes_accuracy(human_spec),
         "bayes_accuracy_generated": synth.bayes_accuracy(generated_spec),
-        "marker_words": {v: list(w) for v, w in common["marker_words"].items()},
+        "marker_words": {v: list(w) for v, w in human_spec.marker_words.items()},
     }
     (out_dir / "oracle.json").write_text(json.dumps(oracle, indent=2), encoding="utf-8")
     if not args.quiet:
@@ -295,23 +304,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- report
-
-
-def _load_side(args: argparse.Namespace, key: str, source: Source, metric: str,
-               spec: AttributeSpec, **shared):
-    """The corpus at `args.<key>`, whose every caption must come from `source`;
-    `shared` are the annotations and objects both sides read."""
-    path = getattr(args, key)
-    if path is None:
-        raise CorpusError(f"metric {metric!r} requires the {key!r} input")
-    corpus = load_corpus(path, args.annotations, spec, args.objects, **shared)
-    wrong = np.flatnonzero(corpus.sources != source)
-    if wrong.size:
-        raise CorpusError(
-            f"{path}: caption {corpus.caption_ids[wrong[0]]!r} has source "
-            f"{corpus.sources[wrong[0]].value!r}, expected {source.value!r}"
-        )
-    return corpus
 
 
 def _load_lexicon(path: str) -> dict[str, frozenset[str]]:
@@ -345,22 +337,31 @@ def run_metrics(args: argparse.Namespace) -> dict:
     """Compute the selected metrics from the settings `load_settings` put in
     `args`, and return the report document."""
     metrics = args.metrics
-    if "dba_g" in metrics and args.objects is None:
-        raise CorpusError("metric 'dba_g' requires the 'objects' input file")
+    for metric in metrics:
+        for key in ("generated_captions", *NEEDS[metric]):
+            if getattr(args, key) is None:
+                raise CorpusError(f"metric {metric!r} requires the {key!r} input")
 
     spec = _build_spec(args)
+    # DBA_G, Ratio and Error read the value a caption names, and so does BA
+    # without annotations
+    for metric in () if spec.has_word_lists else metrics:
+        if metric in ("dba_g", "ratio", "error") or (
+                metric == "ba" and args.annotations is None):
+            raise CorpusError(
+                f"metric {metric!r} requires word lists for attribute {spec.name!r}"
+                + (" or the 'annotations' input" if metric == "ba" else ""))
     # Both sides share the annotation and object files: read each once.
-    shared = {"annotations": None, "objects": None}
+    shared = {"annotations_path": args.annotations, "attribute_spec": spec,
+              "objects_path": args.objects, "annotations": None, "objects": None}
     if args.annotations is not None:
         shared["annotations"] = load_annotations(args.annotations, spec)
     if args.objects is not None:
         shared["objects"] = load_object_annotations(args.objects)
     human = None
-    if {"lic", "leakage", "sc", "ba", "dba_g", "dba_o"} & set(metrics):
-        human = _load_side(args, "human_captions", Source.HUMAN, "ba/lic", spec, **shared)
-    # `load_settings` lets no report run without a metric
-    generated = _load_side(args, "generated_captions", Source.MODEL, metrics[0], spec,
-                           **shared)
+    if any("human_captions" in NEEDS[metric] for metric in metrics):
+        human = load_corpus(args.human_captions, source=Source.HUMAN, **shared)
+    generated = load_corpus(args.generated_captions, source=Source.MODEL, **shared)
 
     results: dict[str, dict] = {}
 
@@ -372,13 +373,7 @@ def run_metrics(args: argparse.Namespace) -> dict:
             classifier=ClassifierConfig(**{name: getattr(args, name) for name in fields}),
         )
         reports = run_protocol(human, generated, protocol, args.seed)
-        wanted = set()
-        if "lic" in metrics:
-            wanted |= {"lic", "lic_m", "lic_d"}
-        if "leakage" in metrics:
-            wanted |= {"leakage"}
-        if "sc" in metrics:
-            wanted |= {"sc"}
+        wanted = {*metrics, *(("lic_m", "lic_d") if "lic" in metrics else ())}
         for name, report in reports.items():
             if name in wanted:
                 results[name] = {
@@ -418,8 +413,6 @@ def run_metrics(args: argparse.Namespace) -> dict:
             cooccur.DbaDirection.GENDER_GIVEN_OBJECT, objects=True,
         )
     if "dba_o" in metrics:
-        if args.object_lexicon is None:
-            raise CorpusError("metric 'dba_o' requires the 'object_lexicon' input")
         lexicon = _load_lexicon(args.object_lexicon)
         results["dba_o"] = _dba_entry(
             human, generated, sorted(lexicon), cooccur.annotated,

@@ -398,13 +398,15 @@ def load_corpus(
     *,
     annotations: Optional[Mapping[str, str]] = None,
     objects: Optional[Mapping[str, frozenset[str]]] = None,
+    source: Optional[Source] = None,
 ) -> Corpus:
     """Load a caption corpus from JSON Lines files.
 
     `annotations` and `objects`, when given, are the contents of the files
     at `annotations_path` and `objects_path` as already read by
     `load_annotations` and `load_object_annotations`, so corpora that share
-    those files read them once; the paths still name them in errors.
+    those files read them once; the paths still name them in errors. When
+    `source` is given, a caption from the other side is an input error.
 
     Captions whose text is empty after tokenization are rejected with a
     logged diagnostic. Contract violations (duplicate caption ids, unknown
@@ -435,11 +437,14 @@ def load_corpus(
             seen_ids.add(caption_id)
             image_id = str(obj["image_id"])
             try:
-                source = _SOURCES[obj["source"]]
+                side = _SOURCES[obj["source"]]
             except (KeyError, TypeError):  # TypeError: a JSON list or object
                 raise CorpusError(
                     f"{captions_path}:{lineno}: source must be 'human' or 'model'"
                 ) from None
+            if source not in (None, side):
+                raise CorpusError(f"{captions_path}:{lineno}: caption {caption_id!r} has "
+                                  f"source {side.value!r}, expected {source.value!r}")
             try:
                 tokens = tokenize(str(obj["caption"]))
             except CorpusError:
@@ -449,7 +454,7 @@ def load_corpus(
                 )
                 rejected_images.add(image_id)
                 continue
-            yield caption_id, image_id, source, tokens
+            yield caption_id, image_id, side, tokens
 
     columns = _columns(captions())
     caption_ids, image_ids, images = columns[:3]

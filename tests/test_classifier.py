@@ -1,4 +1,3 @@
-import inspect
 import tracemalloc
 from collections import Counter
 
@@ -253,15 +252,9 @@ class TestTrain:
 
 
 def _batch_grads(model, idx, mask, labels):
-    """One batch's loss and gradients, written into fresh zeros.
-
-    Runs against either form of `_loss_and_grads`: one that fills the
-    gradient arrays it is given, or one that allocates its own.
-    """
-    if "grads" in inspect.signature(_loss_and_grads).parameters:
-        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-        return _loss_and_grads(model, idx, mask, labels, grads), grads
-    return _loss_and_grads(model, idx, mask, labels)
+    """One batch's loss and gradients, written into fresh zeros."""
+    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+    return _loss_and_grads(model, idx, mask, labels, grads), grads
 
 
 def _pad_batch(sequences):

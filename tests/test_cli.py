@@ -15,6 +15,7 @@ from capbias.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    NEEDS,
     SETTINGS,
     build_parser,
     load_settings,
@@ -258,6 +259,30 @@ class TestSynth:
             assert flag == (tmp_path / "seed9" / name).read_bytes(), name
         assert ((tmp_path / "flag" / "human_captions.jsonl").read_bytes()
                 != (tmp_path / "seed5" / "human_captions.jsonl").read_bytes())
+
+    def test_absent_fields_take_synth_spec_defaults(self, tmp_path):
+        from capbias.synth import SynthSpec
+
+        required = {"n_images": 120, "theta_human": 0.6, "theta_generated": 0.9}
+        defaults = {
+            f.name: f.default if f.default_factory is dataclasses.MISSING
+            else f.default_factory()
+            for f in dataclasses.fields(SynthSpec)
+            if f.name not in ("n_images", "marker_probability")
+        }
+        spelled = json.loads(json.dumps({**required, **defaults}))  # tuples as lists
+        assert set(spelled) == {"n_images", "theta_human", "theta_generated", "values",
+                                "marker_words", "filler_vocab_size",
+                                "caption_length_range", "seed"}
+        for name, fields in (("required", required), ("spelled", spelled)):
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps(fields))
+            assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / name),
+                         "--quiet"]) == EXIT_OK
+        for name in ("human_captions.jsonl", "generated_captions.jsonl",
+                     "annotations.jsonl", "oracle.json"):
+            assert ((tmp_path / "required" / name).read_bytes()
+                    == (tmp_path / "spelled" / name).read_bytes()), name
 
     @pytest.mark.parametrize("field,value", [
         ("n_images", "many"),
@@ -773,8 +798,79 @@ class TestReport:
         bad = write_jsonl(tmp_path / "captions.jsonl", rows)
         args[args.index(flag) + 1] = str(bad)
         assert main(args) == EXIT_VALIDATION
-        assert (f"{bad}: caption {rows[3]['caption_id']!r} has source {source!r}, "
+        # the first wrong caption is on line 4
+        assert (f"{bad}:4: caption {rows[3]['caption_id']!r} has source {source!r}, "
                 f"expected {expected!r}") in caplog.text
+
+    @staticmethod
+    def _forbid_loading(monkeypatch):
+        """Make loading a corpus or running the LIC protocol fail the test."""
+        import capbias.cli
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("an input check ran after a captions file was read")
+
+        monkeypatch.setattr(capbias.cli, "load_corpus", unexpected)
+        monkeypatch.setattr(capbias.cli, "run_protocol", unexpected)
+
+    @pytest.mark.parametrize("metric,key", [
+        (metric, key) for metric, needs in NEEDS.items()
+        for key in ("generated_captions", *needs)
+    ])
+    def test_missing_input_fails_before_any_file_is_read(self, tmp_path, caplog,
+                                                         monkeypatch, metric, key):
+        self._forbid_loading(monkeypatch)
+        # every input names a file that does not exist, so reading any fails
+        args = ["report", "--metrics", metric, "--out", str(tmp_path / "r.json"), "--quiet"]
+        for other in ("generated_captions", "human_captions", "annotations", "objects",
+                      "object_lexicon"):
+            if other != key:
+                args += ["--" + other.replace("_", "-"), str(tmp_path / "missing")]
+        assert main(args) == EXIT_VALIDATION
+        assert f"metric {metric!r} requires the {key!r} input" in caplog.text
+        assert not (tmp_path / "r.json").exists()
+
+    def test_human_captions_read_only_for_metrics_that_need_them(self, tmp_path):
+        rows = [{"caption_id": f"g{i}", "image_id": f"i{i}", "source": "model",
+                 "caption": caption} for i, caption in enumerate(
+                     ["A woman on a bike.", "A man with a dog.", "A man on a bike."])]
+        generated = write_jsonl(tmp_path / "generated.jsonl", rows)
+        annotations = write_jsonl(tmp_path / "annotations.jsonl", [
+            {"image_id": "i0", "attribute": "female"}, {"image_id": "i1", "attribute": "male"},
+            {"image_id": "i2", "attribute": "female"},
+        ])
+        out = tmp_path / "r.json"
+        assert main(["report", "--metrics", "ratio,error", "--generated-captions",
+                     str(generated), "--annotations", str(annotations),
+                     "--human-captions", str(tmp_path / "missing.jsonl"),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["metrics"]["ratio"]["value"] == 2.0
+        assert report["metrics"]["error"]["value"] == pytest.approx(100 / 3)
+        assert list(report["input_hashes"]) == ["generated"]
+
+    # On the synthetic layout the attribute has values but no word lists, so
+    # no caption names a value.
+    @pytest.mark.parametrize("metrics,annotated,metric", [
+        ("lic,dba_g", True, "dba_g"),
+        ("lic,ratio", True, "ratio"),
+        ("error", True, "error"),
+        ("ba", False, "ba"),
+    ])
+    def test_metric_that_reads_attribute_words_needs_word_lists(
+            self, synth_dir, tmp_path, caplog, monkeypatch, metrics, annotated, metric):
+        self._forbid_loading(monkeypatch)
+        args = self._report_args(
+            synth_dir, tmp_path / "r.json", metrics,
+            extra=["--config", str(self._task_word_config(tmp_path)),
+                   "--objects", str(tmp_path / "missing.jsonl")],
+        )
+        if not annotated:
+            args[args.index("--annotations"):args.index("--annotations") + 2] = []
+        assert main(args) == EXIT_VALIDATION
+        assert (f"metric {metric!r} requires word lists for attribute 'synthetic'"
+                + (" or the 'annotations' input" if metric == "ba" else "")) in caplog.text
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("config,key", [
         ({"top_k": "lots"}, "'top_k'"),
@@ -844,7 +940,7 @@ class TestReport:
         assert set(a["metrics"]) == {"lic", "lic_m", "lic_d"}
 
     def test_ratio_error_undefined_without_mentions(self, synth_dir, tmp_path):
-        # synthetic captions never mention attribute words: both undefined
+        # the synthetic attribute has no word lists, so no caption names a value
         out = tmp_path / "r.json"
         args = [
             "report", "--metrics", "ratio,error",
